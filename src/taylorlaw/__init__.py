@@ -63,7 +63,6 @@ from .pointprocess import (
     simulate_poisson,
     simulate_thomas,
     taylor_experiment,
-    torus_distance,
 )
 from .svgplot import emit_svg_plot
 from .tables import (
@@ -140,5 +139,4 @@ __all__ = [
     "simulate_thomas",
     "t_tail_probability",
     "taylor_experiment",
-    "torus_distance",
 ]

@@ -22,15 +22,16 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from ._fmt import sig12
 from .dispersion import fit_dispersion
-from .errors import DataError, TaylorLawError, UsageError
-from .extraction import SCHEME_TAGS, MVSeries, Scheme, extract_pairs
+from .errors import DataError, ParseError, TaylorLawError, UsageError
+from .extraction import _PER_SUBJECT, SCHEME_TAGS, MVSeries, Scheme, extract_pairs
 from .fitting import (
     Classification,
     PacdResult,
@@ -40,9 +41,12 @@ from .fitting import (
     fit_nls,
     pacd,
     pacd_from_params,
+    split_usable,
 )
 from .pointprocess import (
     EXPERIMENT_KINDS,
+    PCF_FORMS,
+    _check_seed,
     estimate_pcf,
     fit_pcf,
     simulate_hardcore,
@@ -59,15 +63,6 @@ from .tables import (
     parse_longitudinal,
 )
 
-COMMANDS = (
-    "fit-taylor",
-    "pacd",
-    "classify",
-    "fit-dispersion",
-    "simulate",
-    "pcf",
-    "experiment",
-)
 METHODS = ("log_ols", "nls")
 OUTPUT_FORMATS = ("json", "csv")
 GENERATOR_KINDS = ("poisson", "thomas", "hardcore")
@@ -123,8 +118,7 @@ class RunConfig:
             raise UsageError("alpha must lie in (0, 1)")
         if self.min_pairs < 1:
             raise UsageError("min-pairs must be at least 1")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
-            raise UsageError("seed must be an unsigned 64-bit integer")
+        _check_seed(self.seed)
         if self.output_format not in OUTPUT_FORMATS:
             raise UsageError(f"unknown output format {self.output_format!r}")
         if self.plot_path is not None:
@@ -192,12 +186,10 @@ def build_fit_report(
     """Fit ``series`` and derive critical density and classification."""
     if method == "log_ols":
         fit = fit_log_ols(series, min_pairs=min_pairs)
-        dropped = [
-            p.label for p in series.pairs if not (p.mean > 0 and p.variance > 0)
-        ]
+        dropped = split_usable(series)[1]
     else:
         fit = fit_nls(series)
-        dropped = [p.label for p in series.pairs if not p.mean > 0]
+        dropped = [p for p in series.pairs if not p.mean > 0]
     crossover = pacd(fit)
     try:
         call: Classification | None = classify(fit, alpha)
@@ -205,63 +197,16 @@ def build_fit_report(
     except TaylorLawError as exc:
         call = None
         call_error = str(exc)
-    return FitReport(scheme, fit, crossover, call, call_error, tuple(dropped))
-
-
-def _scheme_dict(scheme: Scheme | None):
-    if scheme is None:
-        return None
-    return {"tag": scheme.tag, "subject": scheme.subject}
-
-
-def _fit_dict(fit: PowerLawFit) -> dict:
-    return {
-        "a": fit.a,
-        "b": fit.b,
-        "se_ln_a": fit.se_ln_a,
-        "se_b": fit.se_b,
-        "r_squared": fit.r_squared,
-        "n_used": fit.n_used,
-        "n_dropped": fit.n_dropped,
-        "method": fit.method,
-        "rss_log": fit.rss_log,
-        "rss_raw": fit.rss_raw,
-        "converged": fit.converged,
-    }
-
-
-def _pacd_dict(res: PacdResult) -> dict:
-    return {"m0": res.m0, "defined": res.defined, "reason": res.reason}
-
-
-def _classification_dict(report: FitReport) -> dict:
-    if report.classification is None:
-        return {"error": report.classification_error}
-    c = report.classification
-    return {
-        "pattern": c.pattern,
-        "t_statistic": c.t_statistic,
-        "p_value": c.p_value,
-        "alpha": c.alpha,
-        "dof": c.dof,
-    }
+    labels = tuple(p.label for p in dropped)
+    return FitReport(scheme, fit, crossover, call, call_error, labels)
 
 
 def _report_dict(report: FitReport) -> dict:
-    return {
-        "scheme": _scheme_dict(report.scheme),
-        "fit": _fit_dict(report.fit),
-        "pacd": _pacd_dict(report.pacd),
-        "classification": _classification_dict(report),
-        "dropped_pair_labels": list(report.dropped_pair_labels),
-    }
-
-
-def _pairs_list(series: MVSeries) -> list:
-    return [
-        {"label": p.label, "mean": p.mean, "variance": p.variance}
-        for p in series.pairs
-    ]
+    value = asdict(report)
+    error = value.pop("classification_error")
+    if report.classification is None:
+        value["classification"] = {"error": error}
+    return value
 
 
 def _json_scalar(value) -> str:
@@ -338,9 +283,21 @@ def render_report(value, output_format: str) -> str:
     return "\n".join(out) + "\n"
 
 
+def _read_text(path: str) -> str:
+    """Read a UTF-8 input file; undecodable bytes are a parse error."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: not UTF-8 text: byte 0x{data[exc.start]:02x} "
+            f"at offset {exc.start}"
+        ) from None
+
+
 def _load_table(path: str) -> AbundanceTable:
     """Read an abundance CSV, choosing the layout by its header row."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     header = None
     for line in text.splitlines():
         if line.strip() and not _is_comment(line):
@@ -368,37 +325,45 @@ def _normalize_table(table: AbundanceTable) -> AbundanceTable:
     )
 
 
+def _fit_each(what: str, items, fit: Callable, failed: Callable) -> list:
+    """Apply ``fit`` to every item, reporting a failure as ``failed(item, error)``.
+
+    One item's error does not stop the rest; only when every item fails is
+    the run a data error.
+    """
+    results, errors = [], []
+    for item in items:
+        try:
+            results.append(fit(item))
+        except TaylorLawError as exc:
+            errors.append(str(exc))
+            results.append(failed(item, str(exc)))
+    if errors and len(errors) == len(results):
+        raise DataError(f"no {what} could be fitted; first error: {errors[0]}")
+    return results
+
+
 def _run_table_fit(config: RunConfig) -> dict:
     table = _load_table(config.input_path)
     if config.normalize:
         table = _normalize_table(table)
     value = {"command": config.command, "normalize": config.normalize}
-    per_subject = config.scheme_tag in ("per_subject_time", "per_subject_species")
-    if per_subject and config.subject == "all":
-        reports = []
-        failures = 0
-        for subject in table.subjects():
-            scheme = Scheme(config.scheme_tag, subject)
-            try:
-                series = extract_pairs(table, scheme)
-                report = build_fit_report(
-                    series, scheme, config.method, config.alpha, config.min_pairs
-                )
-                reports.append(_report_dict(report))
-            except TaylorLawError as exc:
-                failures += 1
-                reports.append({"scheme": _scheme_dict(scheme), "error": str(exc)})
-        if reports and failures == len(reports):
-            raise DataError(
-                f"no subject could be fitted; first error: {reports[0]['error']}"
-            )
-        value["reports"] = reports
+
+    def fit(scheme: Scheme) -> tuple[MVSeries, FitReport]:
+        series = extract_pairs(table, scheme)
+        return series, build_fit_report(
+            series, scheme, config.method, config.alpha, config.min_pairs
+        )
+
+    if config.scheme_tag in _PER_SUBJECT and config.subject == "all":
+        value["reports"] = _fit_each(
+            "subject",
+            [Scheme(config.scheme_tag, s) for s in table.subjects()],
+            lambda scheme: _report_dict(fit(scheme)[1]),
+            lambda scheme, error: {"scheme": asdict(scheme), "error": error},
+        )
         return value
-    scheme = Scheme(config.scheme_tag, config.subject)
-    series = extract_pairs(table, scheme)
-    report = build_fit_report(
-        series, scheme, config.method, config.alpha, config.min_pairs
-    )
+    series, report = fit(Scheme(config.scheme_tag, config.subject))
     if config.plot_path:
         emit_svg_plot(series, report.fit, config.plot_path)
     value["report"] = _report_dict(report)
@@ -408,47 +373,27 @@ def _run_table_fit(config: RunConfig) -> dict:
 def _run_pacd(config: RunConfig) -> dict:
     if config.a is not None:
         res = pacd_from_params(config.a, config.b)
-        return {
-            "command": "pacd",
-            "a": config.a,
-            "b": config.b,
-            "pacd": _pacd_dict(res),
-        }
+        return {"command": "pacd", "a": config.a, "b": config.b, "pacd": asdict(res)}
     value = _run_table_fit(config)
     value["command"] = "pacd"
     return value
 
 
 def _run_dispersion(config: RunConfig) -> dict:
-    text = Path(config.input_path).read_text(encoding="utf-8")
-    table = parse_location(text)
+    table = parse_location(_read_text(config.input_path))
     xs = list(table.distances)
-    fits = {}
-    failures = 0
-    for i, species in enumerate(table.species_ids):
-        ns = [float(x) for x in table.counts[i, :]]
-        try:
-            f = fit_dispersion(xs, ns, (config.c_low, config.c_high))
-            fits[species] = {
-                "a": f.a,
-                "b": f.b,
-                "c": f.c,
-                "d": f.d,
-                "rss_log": f.rss_log,
-                "n_used": f.n_used,
-                "profile_flat": f.profile_flat,
-            }
-        except TaylorLawError as exc:
-            failures += 1
-            fits[species] = {"error": str(exc)}
-    if fits and failures == len(fits):
-        first = next(iter(fits.values()))["error"]
-        raise DataError(f"no species could be fitted; first error: {first}")
+    c_interval = (config.c_low, config.c_high)
+    fits = _fit_each(
+        "species",
+        table.counts,
+        lambda ns: asdict(fit_dispersion(xs, ns.tolist(), c_interval)),
+        lambda ns, error: {"error": error},
+    )
     return {
         "command": "fit-dispersion",
         "locations": list(table.location_labels),
         "distances": xs,
-        "fits": fits,
+        "fits": dict(zip(table.species_ids, fits)),
     }
 
 
@@ -474,7 +419,7 @@ def _run_simulate(config: RunConfig) -> dict:
         "generator": pattern.generator,
         "seed": config.seed,
         "n": pattern.n,
-        "points": [[float(x), float(y)] for x, y in pattern.points],
+        "points": pattern.points.tolist(),
     }
 
 
@@ -482,16 +427,9 @@ def _run_pcf(config: RunConfig) -> dict:
     pattern = _make_pattern(config)
     est = estimate_pcf(pattern, config.bin_width, config.r_max)
     fits = {}
-    for form in ("paper_form", "xi_form"):
+    for form in PCF_FORMS:
         try:
-            f = fit_pcf(est, form)
-            fits[form] = {
-                "r0": f.r0,
-                "s": f.s,
-                "form": f.form,
-                "r_squared": f.r_squared,
-                "n_used": f.n_used,
-            }
+            fits[form] = asdict(fit_pcf(est, form))
         except TaylorLawError as exc:
             fits[form] = {"error": str(exc)}
     return {
@@ -500,10 +438,7 @@ def _run_pcf(config: RunConfig) -> dict:
         "seed": config.seed,
         "n_points": est.n_points,
         "bin_width": est.bin_width,
-        "estimate": {
-            "radii": [float(r) for r in est.radii],
-            "g": [float(v) for v in est.g],
-        },
+        "estimate": {"radii": est.radii.tolist(), "g": est.g.tolist()},
         "fits": fits,
     }
 
@@ -532,31 +467,16 @@ def _run_experiment(config: RunConfig) -> dict:
         "reps": config.reps,
         "q": config.q,
         "seed": config.seed,
-        "pairs": _pairs_list(series),
+        "pairs": [p._asdict() for p in series.pairs],
         "report": _report_dict(report),
     }
-
-
-def _execute(config: RunConfig) -> str:
-    if config.command in _TABLE_COMMANDS:
-        value = _run_table_fit(config)
-    elif config.command == "pacd":
-        value = _run_pacd(config)
-    elif config.command == "fit-dispersion":
-        value = _run_dispersion(config)
-    elif config.command == "simulate":
-        value = _run_simulate(config)
-    elif config.command == "pcf":
-        value = _run_pcf(config)
-    else:
-        value = _run_experiment(config)
-    return render_report(value, config.output_format)
 
 
 def run(config: RunConfig) -> int:
     """Execute a validated configuration; returns the process exit status."""
     try:
-        output = _execute(config)
+        value = _COMMANDS[config.command].run(config)
+        output = render_report(value, config.output_format)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -585,34 +505,123 @@ def _levels_arg(text: str) -> tuple[float, ...]:
     return values
 
 
-def _add_fit_flags(sub: argparse.ArgumentParser, with_plot: bool = True) -> None:
-    sub.add_argument("--input", required=True, help="abundance CSV to analyze")
-    sub.add_argument(
-        "--scheme", required=True, choices=SCHEME_TAGS, help="extraction scheme"
-    )
-    sub.add_argument(
-        "--subject",
-        help="subject for per-subject schemes; 'all' fits every subject",
-    )
-    sub.add_argument("--method", choices=METHODS, default="log_ols")
-    sub.add_argument("--alpha", type=float, default=0.05)
-    sub.add_argument("--min-pairs", type=int, default=3, dest="min_pairs")
-    sub.add_argument("--normalize", action="store_true")
-    sub.add_argument("--format", choices=OUTPUT_FORMATS, default="json")
-    if with_plot:
-        sub.add_argument("--plot", dest="plot", help="write a log-log SVG here")
+# Every flag, declared once. Each dest is a RunConfig field name, and the
+# defaults live in RunConfig: a flag left off the command line stays out of
+# the parsed namespace.
+_FLAGS = {
+    "--input": dict(dest="input_path", metavar="INPUT", help="CSV file to analyze"),
+    "--scheme": dict(dest="scheme_tag", choices=SCHEME_TAGS, help="extraction scheme"),
+    "--subject": dict(help="subject for per-subject schemes; 'all' fits every subject"),
+    "--method": dict(choices=METHODS),
+    "--alpha": dict(type=float),
+    "--min-pairs": dict(type=int),
+    "--normalize": dict(action="store_true"),
+    "--a": dict(type=float, help="power-law coefficient"),
+    "--b": dict(type=float, help="power-law exponent"),
+    "--c-low": dict(type=float),
+    "--c-high": dict(type=float),
+    "--intensity": dict(type=float),
+    "--parent-intensity": dict(type=float),
+    "--mean-offspring": dict(type=float),
+    "--sigma": dict(type=float),
+    "--proposal-intensity": dict(type=float),
+    "--hardcore-radius": dict(type=float),
+    "--seed": dict(type=int),
+    "--bin-width": dict(type=float),
+    "--r-max": dict(type=float),
+    "--levels": dict(type=_levels_arg, help="comma-separated levels"),
+    "--reps": dict(type=int),
+    "--q": dict(type=int),
+    "--format": dict(dest="output_format", choices=OUTPUT_FORMATS),
+    "--plot": dict(dest="plot_path", metavar="PLOT", help="write a log-log SVG here"),
+}
+
+_FIT_FLAGS = (
+    "--input",
+    "--scheme",
+    "--subject",
+    "--method",
+    "--alpha",
+    "--min-pairs",
+    "--normalize",
+    "--format",
+)
+_GENERATOR_FLAGS = (
+    "--intensity",
+    "--parent-intensity",
+    "--mean-offspring",
+    "--sigma",
+    "--proposal-intensity",
+    "--hardcore-radius",
+    "--seed",
+    "--format",
+)
+_EXPERIMENT_FLAGS = (
+    "--levels",
+    "--reps",
+    "--q",
+    "--seed",
+    "--parent-intensity",
+    "--sigma",
+    "--hardcore-radius",
+    "--method",
+    "--alpha",
+    "--format",
+    "--plot",
+)
 
 
-def _add_generator_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--kind", required=True, choices=GENERATOR_KINDS)
-    sub.add_argument("--intensity", type=float, default=100.0)
-    sub.add_argument("--parent-intensity", type=float, default=20.0)
-    sub.add_argument("--mean-offspring", type=float, default=10.0)
-    sub.add_argument("--sigma", type=float, default=0.02)
-    sub.add_argument("--proposal-intensity", type=float, default=200.0)
-    sub.add_argument("--hardcore-radius", type=float, default=0.02)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--format", choices=OUTPUT_FORMATS, default="json")
+@dataclass(frozen=True)
+class _Command:
+    help: str
+    run: Callable[[RunConfig], dict]
+    flags: tuple[str, ...]
+    required: tuple[str, ...] = ()
+    kinds: tuple[str, ...] = ()  # choices of a required --kind flag
+
+
+_COMMANDS = {
+    "fit-taylor": _Command(
+        "fit V = a*M^b to a table",
+        _run_table_fit,
+        _FIT_FLAGS + ("--plot",),
+        required=("--input", "--scheme"),
+    ),
+    "classify": _Command(
+        "fit and run the slope test",
+        _run_table_fit,
+        _FIT_FLAGS + ("--plot",),
+        required=("--input", "--scheme"),
+    ),
+    "pacd": _Command(
+        "aggregation critical density", _run_pacd, ("--a", "--b") + _FIT_FLAGS
+    ),
+    "fit-dispersion": _Command(
+        "distance-decay fits per species",
+        _run_dispersion,
+        ("--input", "--c-low", "--c-high", "--format"),
+        required=("--input",),
+    ),
+    "simulate": _Command(
+        "draw a point pattern",
+        _run_simulate,
+        _GENERATOR_FLAGS,
+        kinds=GENERATOR_KINDS,
+    ),
+    "pcf": _Command(
+        "pair correlation of a simulated pattern",
+        _run_pcf,
+        _GENERATOR_FLAGS + ("--bin-width", "--r-max"),
+        kinds=GENERATOR_KINDS,
+    ),
+    "experiment": _Command(
+        "sweep a generator, pool counts, fit",
+        _run_experiment,
+        _EXPERIMENT_FLAGS,
+        kinds=EXPERIMENT_KINDS,
+    ),
+}
+COMMANDS = tuple(_COMMANDS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -622,93 +631,22 @@ def build_parser() -> argparse.ArgumentParser:
         "point-pattern experiments for abundance tables.",
     )
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    _add_fit_flags(subs.add_parser("fit-taylor", help="fit V = a*M^b to a table"))
-    _add_fit_flags(subs.add_parser("classify", help="fit and run the slope test"))
-
-    p = subs.add_parser("pacd", help="aggregation critical density")
-    p.add_argument("--a", type=float, help="power-law coefficient")
-    p.add_argument("--b", type=float, help="power-law exponent")
-    p.add_argument("--input", help="abundance CSV to fit first")
-    p.add_argument("--scheme", choices=SCHEME_TAGS)
-    p.add_argument("--subject")
-    p.add_argument("--method", choices=METHODS, default="log_ols")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--min-pairs", type=int, default=3, dest="min_pairs")
-    p.add_argument("--normalize", action="store_true")
-    p.add_argument("--format", choices=OUTPUT_FORMATS, default="json")
-
-    p = subs.add_parser("fit-dispersion", help="distance-decay fits per species")
-    p.add_argument("--input", required=True, help="location CSV to analyze")
-    p.add_argument("--c-low", type=float, default=0.0, dest="c_low")
-    p.add_argument("--c-high", type=float, default=5.0, dest="c_high")
-    p.add_argument("--format", choices=OUTPUT_FORMATS, default="json")
-
-    _add_generator_flags(subs.add_parser("simulate", help="draw a point pattern"))
-
-    p = subs.add_parser("pcf", help="pair correlation of a simulated pattern")
-    _add_generator_flags(p)
-    p.add_argument("--bin-width", type=float, default=0.02)
-    p.add_argument("--r-max", type=float, default=0.25, dest="r_max")
-
-    p = subs.add_parser("experiment", help="sweep a generator, pool counts, fit")
-    p.add_argument("--kind", required=True, choices=EXPERIMENT_KINDS)
-    p.add_argument("--levels", type=_levels_arg, help="comma-separated levels")
-    p.add_argument("--reps", type=int, default=10)
-    p.add_argument("--q", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--parent-intensity", type=float, default=20.0)
-    p.add_argument("--sigma", type=float, default=0.02)
-    p.add_argument("--hardcore-radius", type=float, default=0.02)
-    p.add_argument("--method", choices=METHODS, default="log_ols")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--format", choices=OUTPUT_FORMATS, default="json")
-    p.add_argument("--plot", dest="plot", help="write a log-log SVG here")
-
+    for name, command in _COMMANDS.items():
+        sub = subs.add_parser(
+            name, help=command.help, argument_default=argparse.SUPPRESS
+        )
+        if command.kinds:
+            sub.add_argument("--kind", required=True, choices=command.kinds)
+        for flag in command.flags:
+            sub.add_argument(flag, required=flag in command.required, **_FLAGS[flag])
     return parser
-
-
-def _config_from_args(ns: argparse.Namespace) -> RunConfig:
-    fields = {"command": ns.command}
-    mapping = {
-        "input": "input_path",
-        "scheme": "scheme_tag",
-        "subject": "subject",
-        "method": "method",
-        "alpha": "alpha",
-        "min_pairs": "min_pairs",
-        "normalize": "normalize",
-        "seed": "seed",
-        "format": "output_format",
-        "plot": "plot_path",
-        "a": "a",
-        "b": "b",
-        "kind": "kind",
-        "levels": "levels",
-        "reps": "reps",
-        "q": "q",
-        "intensity": "intensity",
-        "parent_intensity": "parent_intensity",
-        "mean_offspring": "mean_offspring",
-        "sigma": "sigma",
-        "proposal_intensity": "proposal_intensity",
-        "hardcore_radius": "hardcore_radius",
-        "bin_width": "bin_width",
-        "r_max": "r_max",
-        "c_low": "c_low",
-        "c_high": "c_high",
-    }
-    for arg_name, field in mapping.items():
-        if hasattr(ns, arg_name) and getattr(ns, arg_name) is not None:
-            fields[field] = getattr(ns, arg_name)
-    return RunConfig(**fields)
 
 
 def main(argv=None) -> int:
     """Console entry point; returns the exit status."""
     ns = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(ns)
+        config = RunConfig(**vars(ns))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,17 +17,20 @@ variance) pairs, one power-law fit input each:
 
 Variances are unbiased sample variances (divisor n-1); a single-element
 row or column yields variance 0. Pairs with zero mean or variance are kept
-here and only excluded at fitting time, so data loss stays reportable.
+here and only excluded at fitting time, so data loss stays reportable. A
+mean or variance that overflows the float range is a data error naming the
+pair.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import DataError, UsageError
 from .tables import AbundanceTable, _fmt_time
 
 SCHEME_TAGS = (
@@ -70,13 +73,11 @@ class MVSeries:
     """Ordered mean-variance pairs tagged with their extraction scheme.
 
     ``scheme`` is None for series not derived from a table (e.g. simulation
-    sweeps). ``n_dropped`` counts pairs excluded downstream; extraction
-    always starts it at 0.
+    sweeps).
     """
 
     scheme: Scheme | None
     pairs: tuple[MVPair, ...]
-    n_dropped: int = 0
 
     def __post_init__(self):
         object.__setattr__(
@@ -93,12 +94,6 @@ class MVSeries:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    def means(self) -> np.ndarray:
-        return np.array([p.mean for p in self.pairs])
-
-    def variances(self) -> np.ndarray:
-        return np.array([p.variance for p in self.pairs])
 
 
 def sample_variance(values: np.ndarray) -> float:
@@ -119,6 +114,10 @@ def mean_convert(table: AbundanceTable) -> AbundanceTable:
         raise UsageError("mean conversion requires a table with a time axis")
     subjects = table.subjects()
     means = np.stack([table.counts[table.rows_for(s)].mean(axis=0) for s in subjects])
+    overflowed = ~np.isfinite(means).all(axis=1)
+    if overflowed.any():
+        subject = subjects[int(np.argmax(overflowed))]
+        raise DataError(f"mean of subject {subject!r} overflows the float range")
     return AbundanceTable(subjects, table.species_ids, means)
 
 
@@ -155,6 +154,20 @@ def _subject_rows(table: AbundanceTable, scheme: Scheme) -> np.ndarray:
 
 def extract_pairs(table: AbundanceTable, scheme: Scheme) -> MVSeries:
     """Extract the mean-variance series for ``scheme`` from ``table``."""
+    # Huge counts can overflow a mean or variance to inf; that is reported
+    # below as a data error, so numpy's overflow warning is silenced.
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs = _scheme_pairs(table, scheme)
+    for p in pairs:
+        if not (math.isfinite(p.mean) and math.isfinite(p.variance)):
+            raise DataError(
+                f"pair {p.label!r}: mean {p.mean} or variance {p.variance} "
+                "overflows the float range"
+            )
+    return MVSeries(scheme, tuple(pairs))
+
+
+def _scheme_pairs(table: AbundanceTable, scheme: Scheme) -> list[MVPair]:
     if scheme.tag == "subjects_across_species":
         pairs = _row_pairs(table, labeled_by_time=False)
     elif scheme.tag == "species_across_subjects":
@@ -177,4 +190,4 @@ def extract_pairs(table: AbundanceTable, scheme: Scheme) -> MVSeries:
         pairs = _column_pairs(table, rows)
     else:  # unreachable: Scheme validates its tag
         raise UsageError(f"unknown scheme tag {scheme.tag!r}")
-    return MVSeries(scheme, tuple(pairs))
+    return pairs

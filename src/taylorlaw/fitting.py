@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import betainc
@@ -87,9 +88,35 @@ class Classification:
 
 def split_usable(series: MVSeries) -> tuple[list[MVPair], list[MVPair]]:
     """Partition pairs into (usable for log fitting, dropped M<=0 or V<=0)."""
-    used = [p for p in series.pairs if p.mean > 0 and p.variance > 0]
-    dropped = [p for p in series.pairs if not (p.mean > 0 and p.variance > 0)]
+    used: list[MVPair] = []
+    dropped: list[MVPair] = []
+    for p in series.pairs:
+        (used if p.mean > 0 and p.variance > 0 else dropped).append(p)
     return used, dropped
+
+
+class _OlsLine(NamedTuple):
+    """Least-squares line y = intercept + slope*x, with the sums behind it."""
+
+    slope: float
+    intercept: float
+    rss: float
+    r_squared: float
+    xbar: float
+    sxx: float
+
+
+def _ols_line(x: np.ndarray, y: np.ndarray) -> _OlsLine:
+    """Ordinary least squares of y on x; x must not be constant."""
+    xbar, ybar = x.mean(), y.mean()
+    sxx = float(np.sum((x - xbar) ** 2))
+    slope = float(np.sum((x - xbar) * (y - ybar)) / sxx)
+    intercept = float(ybar - slope * xbar)
+    resid = y - (intercept + slope * x)
+    rss = float(resid @ resid)
+    tss = float(np.sum((y - ybar) ** 2))
+    r_squared = 1.0 if tss == 0.0 else _clamp_unit(1.0 - rss / tss)
+    return _OlsLine(slope, intercept, rss, r_squared, xbar, sxx)
 
 
 def _clamp_unit(x: float) -> float:
@@ -112,25 +139,19 @@ def fit_log_ols(series: MVSeries, min_pairs: int = 3) -> PowerLawFit:
     y = np.log([p.variance for p in used])
     if np.all(x == x[0]):
         raise DegenerateDesignError("degenerate design: all retained means are equal")
-    xbar, ybar = x.mean(), y.mean()
-    sxx = float(np.sum((x - xbar) ** 2))
-    b = float(np.sum((x - xbar) * (y - ybar)) / sxx)
-    ln_a = float(ybar - b * xbar)
-    resid = y - (ln_a + b * x)
-    rss = float(resid @ resid)
-    tss = float(np.sum((y - ybar) ** 2))
+    line = _ols_line(x, y)
     n = len(used)
-    sigma2 = rss / (n - 2)
+    sigma2 = line.rss / (n - 2)
     return PowerLawFit(
-        a=math.exp(ln_a),
-        b=b,
-        se_ln_a=math.sqrt(sigma2 * (1.0 / n + xbar**2 / sxx)),
-        se_b=math.sqrt(sigma2 / sxx),
-        r_squared=1.0 if tss == 0.0 else _clamp_unit(1.0 - rss / tss),
+        a=math.exp(line.intercept),
+        b=line.slope,
+        se_ln_a=math.sqrt(sigma2 * (1.0 / n + line.xbar**2 / line.sxx)),
+        se_b=math.sqrt(sigma2 / line.sxx),
+        r_squared=line.r_squared,
         n_used=n,
         n_dropped=len(series.pairs) - n,
         method="log_ols",
-        rss_log=rss,
+        rss_log=line.rss,
     )
 
 

@@ -31,6 +31,7 @@ from .errors import (
     UsageError,
 )
 from .extraction import MVPair, MVSeries, sample_variance
+from .fitting import _ols_line
 
 EXPERIMENT_KINDS = ("poisson_sweep", "thomas_cluster_sweep", "hardcore_sweep")
 PCF_FORMS = ("paper_form", "xi_form")
@@ -178,13 +179,6 @@ class PcfFit:
             raise ValueError("r_squared must lie in [0, 1]")
         if self.n_used < 3:
             raise ValueError("a correlation fit needs at least 3 bins")
-
-
-def torus_distance(p: tuple[float, float], q: tuple[float, float]) -> float:
-    """Wraparound distance between two points of the unit torus."""
-    dx = abs(p[0] - q[0])
-    dy = abs(p[1] - q[1])
-    return math.hypot(min(dx, 1.0 - dx), min(dy, 1.0 - dy))
 
 
 def pairwise_torus_distances(points: np.ndarray) -> np.ndarray:
@@ -404,23 +398,25 @@ def fit_pcf(est: PcfEstimate, form: str) -> PcfFit:
         raise InsufficientDataError(
             f"insufficient signal: {x_all.size} usable bins for {form}, need 3"
         )
-    xbar, ybar = x_all.mean(), y_all.mean()
-    sxx = float(np.sum((x_all - xbar) ** 2))
-    slope = float(np.sum((x_all - xbar) * (y_all - ybar)) / sxx)
-    intercept = float(ybar - slope * xbar)
-    s = -slope
+    line = _ols_line(x_all, y_all)
+    s = -line.slope
     if s == 0.0:
         raise DegenerateDesignError(
             "flat correlation profile: the scale r0 is undefined at s = 0"
         )
-    resid = y_all - (intercept + slope * x_all)
-    rss = float(resid @ resid)
-    tss = float(np.sum((y_all - ybar) ** 2))
-    r_squared = 1.0 if tss == 0.0 else min(1.0, max(0.0, 1.0 - rss / tss))
+    try:
+        r0 = math.exp(line.intercept / s)
+    except OverflowError:
+        r0 = math.inf
+    if not 0.0 < r0 < math.inf:
+        raise DegenerateDesignError(
+            f"flat correlation profile: the scale r0 = exp({line.intercept:.6g} / "
+            f"{s:.6g}) is outside the float range"
+        )
     return PcfFit(
-        r0=math.exp(intercept / s),
+        r0=r0,
         s=s,
         form=form,
-        r_squared=r_squared,
+        r_squared=line.r_squared,
         n_used=int(x_all.size),
     )

@@ -19,7 +19,7 @@ import numpy as np
 from ._fmt import sig12
 from .errors import InsufficientDataError
 from .extraction import MVSeries
-from .fitting import PowerLawFit
+from .fitting import PowerLawFit, split_usable
 
 _W, _H = 640, 480
 _LEFT, _RIGHT, _TOP, _BOTTOM = 72, 24, 24, 96
@@ -36,8 +36,7 @@ def emit_svg_plot(series: MVSeries, fit: PowerLawFit, path: str) -> None:
     ``fit`` must have been produced from ``series``; the caption repeats
     the fit's own bookkeeping. I/O failures propagate as OSError.
     """
-    plottable = [p for p in series.pairs if p.mean > 0 and p.variance > 0]
-    margin = [p for p in series.pairs if not (p.mean > 0 and p.variance > 0)]
+    plottable, margin = split_usable(series)
     if len(plottable) < 2:
         raise InsufficientDataError(
             "plotting needs at least 2 pairs with positive mean and variance"

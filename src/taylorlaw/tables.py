@@ -95,14 +95,6 @@ class AbundanceTable:
                     )
                 seen[subject] = t
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.subject_ids)
-
-    @property
-    def n_species(self) -> int:
-        return len(self.species_ids)
-
     def subjects(self) -> tuple[str, ...]:
         """Distinct subjects in first-appearance order."""
         return tuple(dict.fromkeys(self.subject_ids))

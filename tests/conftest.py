@@ -1,4 +1,6 @@
-"""Shared fixtures: exact power-law data and small reference tables."""
+"""Shared fixtures: exact power-law data, small reference tables, oracles."""
+
+import math
 
 import numpy as np
 
@@ -31,3 +33,10 @@ def synthetic_longitudinal(n_subjects=10, n_species=20, n_times=12, seed=2024081
             counts = rng.poisson(base * rng.uniform(0.5, 2.0)) + 1
             rows.append(f"subj{s},{t}," + ",".join(str(int(c)) for c in counts))
     return header + "\n" + "\n".join(rows) + "\n"
+
+
+def torus_distance(p: tuple[float, float], q: tuple[float, float]) -> float:
+    """Scalar oracle: wraparound distance between two points of the unit torus."""
+    dx = abs(p[0] - q[0])
+    dy = abs(p[1] - q[1])
+    return math.hypot(min(dx, 1.0 - dx), min(dy, 1.0 - dy))

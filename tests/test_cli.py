@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -522,6 +523,15 @@ class TestSimulateAndPcf:
             entry = doc["fits"][form]
             assert ("error" in entry) or ("r0" in entry)
 
+    @pytest.mark.parametrize(
+        "flags", [["--seed", "16"], ["--seed", "5", "--bin-width", "0.01"]]
+    )
+    def test_flat_profile_scale_out_of_range_is_a_fit_error(self, capsys, flags):
+        # A nearly flat g makes s tiny, so r0 = exp(intercept / s) overflows
+        # (seed 16) or underflows to 0 (seed 5).
+        doc = run_json(capsys, ["pcf", "--kind", "poisson", *flags])
+        assert "outside the float range" in doc["fits"]["paper_form"]["error"]
+
 
 class TestExperimentCommand:
     ARGS = [
@@ -575,6 +585,42 @@ class TestExperimentCommand:
         )
         assert rc == 1
         assert "strictly increasing" in capsys.readouterr().err
+
+
+def run_hostile(capsys, argv):
+    """Run ``main`` with every warning an error; returns (status, out, err)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv)
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+class TestHostileInput:
+    def test_overflowing_variance_names_the_pair(self, capsys, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("subject_id,sp1,sp2\nx,0,1e200\ny,1,2\nz,3,4\n")
+        rc, out, err = run_hostile(
+            capsys,
+            ["fit-taylor", "--input", str(path), "--scheme", "subjects_across_species"],
+        )
+        assert (rc, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: pair 'x': ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit-taylor", "--scheme", "subjects_across_species"],
+            ["fit-dispersion"],
+        ],
+    )
+    def test_non_utf8_input_gives_the_byte_offset(self, capsys, tmp_path, argv):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("subject_id,caf\u00e9\nx,1\n".encode("latin-1"))
+        rc, out, err = run_hostile(capsys, [*argv, "--input", str(path)])
+        assert (rc, out) == (2, "")
+        assert err == f"error: {path}: not UTF-8 text: byte 0xe9 at offset 14\n"
 
 
 class TestArgumentParsing:

@@ -6,6 +6,8 @@ rows) and are compared at tight relative tolerance because the fractions
 are not float-representable.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from taylorlaw import (
+    DataError,
     MVPair,
     MVSeries,
     Scheme,
@@ -89,9 +92,8 @@ class TestSubjectsAcrossSpecies:
             "#401@2021-01-01",
         ]
 
-    def test_n_dropped_starts_at_zero(self, cross_table):
+    def test_series_carries_its_scheme(self, cross_table):
         series = extract_pairs(cross_table, Scheme("subjects_across_species"))
-        assert series.n_dropped == 0
         assert series.scheme == Scheme("subjects_across_species")
 
 
@@ -118,6 +120,15 @@ class TestMeanConversion:
         # rows (100,1200,0) and (500,2000,10) average exactly
         np.testing.assert_array_equal(converted.counts[0], [300.0, 1600.0, 5.0])
         np.testing.assert_array_equal(converted.counts[1], [200.0, 800.0, 1000.0])
+
+    def test_overflowing_mean_names_the_subject(self):
+        table = parse_longitudinal(
+            "subject_id,time,a,b\nx,0,1e308,1\nx,1,1e308,2\ny,0,1,2\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="subject 'x'"):
+                extract_pairs(table, Scheme("mean_converted_subjects"))
 
     def test_single_time_subject_passes_through(self, longi_table):
         converted = mean_convert(longi_table)
@@ -201,10 +212,17 @@ class TestMVSeriesValidation:
         with pytest.raises(ValueError, match="non-finite"):
             MVSeries(None, (MVPair("a", float("nan"), 1.0),))
 
+    def test_overflowing_statistics_are_a_data_error(self):
+        table = parse_cross_sectional("subject_id,a,b\nx,0,1e200\ny,1,2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="pair 'x'"):
+                extract_pairs(table, Scheme("subjects_across_species"))
+
     def test_accessors(self):
         series = MVSeries(None, (MVPair("a", 1.0, 2.0), MVPair("b", 3.0, 4.0)))
-        np.testing.assert_array_equal(series.means(), [1.0, 3.0])
-        np.testing.assert_array_equal(series.variances(), [2.0, 4.0])
+        assert [p.mean for p in series.pairs] == [1.0, 3.0]
+        assert [p.variance for p in series.pairs] == [2.0, 4.0]
         assert len(series) == 2
 
 

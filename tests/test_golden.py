@@ -25,7 +25,9 @@ FORMATS = ("json", "csv")
 
 # case name -> argv; "@name" stands for tests/golden/inputs/name.csv.
 CASES = {
-    "fit_taylor_rows": ["fit-taylor", "--input", "@cross", "--scheme", "subjects_across_species"],
+    "fit_taylor_rows": [
+        "fit-taylor", "--input", "@cross", "--scheme", "subjects_across_species",
+    ],
     "fit_taylor_nls": [
         "fit-taylor", "--input", "@cross", "--scheme", "subjects_across_species",
         "--method", "nls",
@@ -38,7 +40,9 @@ CASES = {
         "fit-taylor", "--input", "@longi", "--scheme", "species_across_subjects",
         "--normalize", "--plot", "@plot",
     ],
-    "classify_species": ["classify", "--input", "@cross", "--scheme", "species_across_subjects"],
+    "classify_species": [
+        "classify", "--input", "@cross", "--scheme", "species_across_subjects",
+    ],
     "classify_subject_species": [
         "classify", "--input", "@longi", "--scheme", "per_subject_species",
         "--subject", "A", "--alpha", "0.01", "--min-pairs", "4",
@@ -49,8 +53,12 @@ CASES = {
         "pacd", "--input", "@longi", "--scheme", "subjects_across_species",
         "--method", "nls",
     ],
-    "fit_dispersion": ["fit-dispersion", "--input", "@location", "--c-low", "0.1", "--c-high", "4"],
-    "simulate_poisson": ["simulate", "--kind", "poisson", "--intensity", "12", "--seed", "3"],
+    "fit_dispersion": [
+        "fit-dispersion", "--input", "@location", "--c-low", "0.1", "--c-high", "4",
+    ],
+    "simulate_poisson": [
+        "simulate", "--kind", "poisson", "--intensity", "12", "--seed", "3",
+    ],
     "simulate_thomas": [
         "simulate", "--kind", "thomas", "--parent-intensity", "3",
         "--mean-offspring", "4", "--sigma", "0.05", "--seed", "11",
@@ -120,7 +128,8 @@ def _regenerate() -> None:
         for fmt in FORMATS:
             plot = GOLDEN / f"{name}.svg"
             (GOLDEN / f"{name}.{fmt}").write_bytes(_run(name, fmt, plot))
-    print(f"wrote {len(CASES) * len(FORMATS)} reports and {len(PLOT_CASES)} plots to {GOLDEN}")
+    n_reports = len(CASES) * len(FORMATS)
+    print(f"wrote {n_reports} reports and {len(PLOT_CASES)} plots to {GOLDEN}")
 
 
 if __name__ == "__main__":

@@ -26,8 +26,8 @@ from taylorlaw import (
     simulate_poisson,
     simulate_thomas,
     taylor_experiment,
-    torus_distance,
 )
+from conftest import torus_distance
 
 _unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 _point = st.tuples(_unit, _unit)
@@ -119,6 +119,40 @@ class TestSimulators:
     def test_hardcore_thins_the_proposals(self):
         for seed in range(5):
             assert simulate_hardcore(300.0, 0.05, seed).n < 300 * 0.7
+
+    def test_hardcore_is_matern_type_ii_thinning(self):
+        # Redraw the simulator's proposals and marks, then thin them by brute
+        # force: type II kills a proposal when any proposal within r, dead or
+        # alive, has a smaller mark. Sequential inhibition, which keeps
+        # proposals in arrival order unless an accepted one lies within r,
+        # keeps more points and must differ on at least one seed.
+        intensity, r = 60.0, 0.15
+        differs = False
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            proposals = rng.random((rng.poisson(intensity), 2))
+            marks = rng.random(len(proposals))
+            near = [
+                [
+                    j
+                    for j in range(len(proposals))
+                    if j != i and torus_distance(proposals[i], proposals[j]) < r
+                ]
+                for i in range(len(proposals))
+            ]
+            type_ii = [
+                i
+                for i in range(len(proposals))
+                if all(marks[j] > marks[i] for j in near[i])
+            ]
+            sequential: list[int] = []
+            for i in range(len(proposals)):
+                if not any(j in near[i] for j in sequential):
+                    sequential.append(i)
+            pattern = simulate_hardcore(intensity, r, seed)
+            np.testing.assert_array_equal(pattern.points, proposals[type_ii])
+            differs |= sequential != type_ii
+        assert differs
 
     def test_huge_radius_packs_to_a_handful(self):
         # Pairwise separation 0.49 leaves room for very few survivors.
