@@ -186,10 +186,8 @@ def build_fit_report(
     """Fit ``series`` and derive critical density and classification."""
     if method == "log_ols":
         fit = fit_log_ols(series, min_pairs=min_pairs)
-        dropped = split_usable(series)[1]
     else:
         fit = fit_nls(series)
-        dropped = [p for p in series.pairs if not p.mean > 0]
     crossover = pacd(fit)
     try:
         call: Classification | None = classify(fit, alpha)
@@ -197,7 +195,7 @@ def build_fit_report(
     except TaylorLawError as exc:
         call = None
         call_error = str(exc)
-    labels = tuple(p.label for p in dropped)
+    labels = tuple(p.label for p in split_usable(series, fit.method)[1])
     return FitReport(scheme, fit, crossover, call, call_error, labels)
 
 
@@ -311,12 +309,12 @@ def _load_table(path: str) -> AbundanceTable:
 def _normalize_table(table: AbundanceTable) -> AbundanceTable:
     """Divide every observation row by its row sum."""
     sums = table.counts.sum(axis=1)
-    for r, total in enumerate(sums):
-        if total == 0:
-            where = table.subject_ids[r]
-            if table.times is not None:
-                where = f"{where}@{table.times[r]}"
-            raise DataError(f"cannot normalize: row {where!r} sums to zero")
+    zero = np.flatnonzero(sums == 0)
+    if zero.size:
+        where = table.subject_ids[zero[0]]
+        if table.times is not None:
+            where = f"{where}@{table.times[zero[0]]}"
+        raise DataError(f"cannot normalize: row {where!r} sums to zero")
     return AbundanceTable(
         table.subject_ids,
         table.species_ids,

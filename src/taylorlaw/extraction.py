@@ -96,12 +96,24 @@ class MVSeries:
         return len(self.pairs)
 
 
+def _row_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and unbiased (n-1) variance of each row of a C-contiguous matrix.
+
+    Each row is summed in the same pairwise order as a 1-D slice, so the
+    values equal ``row.mean()`` and ``np.var(row, ddof=1)`` bit for bit. The
+    variance is exactly 0 for a single column or a constant row.
+    """
+    if x.shape[1] <= 1:
+        # np.var warns on a single column; a row of one value is its own mean.
+        return x.sum(axis=1), np.zeros(len(x))
+    variances = x.var(axis=1, ddof=1)
+    variances[(x == x[:, :1]).all(axis=1)] = 0.0
+    return x.mean(axis=1), variances
+
+
 def sample_variance(values: np.ndarray) -> float:
     """Unbiased (n-1) sample variance; 0 for a single element or constants."""
-    values = np.asarray(values, dtype=float)
-    if values.size <= 1 or np.all(values == values.flat[0]):
-        return 0.0
-    return float(np.var(values, ddof=1))
+    return float(_row_stats(np.asarray(values, dtype=float).reshape(1, -1))[1][0])
 
 
 def mean_convert(table: AbundanceTable) -> AbundanceTable:
@@ -121,37 +133,6 @@ def mean_convert(table: AbundanceTable) -> AbundanceTable:
     return AbundanceTable(subjects, table.species_ids, means)
 
 
-def _row_pairs(table: AbundanceTable, labeled_by_time: bool) -> list[MVPair]:
-    pairs = []
-    for i, row in enumerate(table.counts):
-        subject = table.subject_ids[i]
-        if table.times is not None:
-            label = _fmt_time(table.times[i]) if labeled_by_time else (
-                f"{subject}@{_fmt_time(table.times[i])}"
-            )
-        else:
-            label = subject
-        pairs.append(MVPair(label, float(row.mean()), sample_variance(row)))
-    return pairs
-
-
-def _column_pairs(table: AbundanceTable, rows: np.ndarray | None = None) -> list[MVPair]:
-    counts = table.counts if rows is None else table.counts[rows]
-    return [
-        MVPair(sp, float(counts[:, j].mean()), sample_variance(counts[:, j]))
-        for j, sp in enumerate(table.species_ids)
-    ]
-
-
-def _subject_rows(table: AbundanceTable, scheme: Scheme) -> np.ndarray:
-    if table.times is None:
-        raise UsageError(f"scheme {scheme.tag!r} requires a table with a time axis")
-    rows = table.rows_for(scheme.subject)
-    if not rows:
-        raise UsageError(f"unknown subject {scheme.subject!r}")
-    return np.array(rows)
-
-
 def extract_pairs(table: AbundanceTable, scheme: Scheme) -> MVSeries:
     """Extract the mean-variance series for ``scheme`` from ``table``."""
     # Huge counts can overflow a mean or variance to inf; that is reported
@@ -168,26 +149,29 @@ def extract_pairs(table: AbundanceTable, scheme: Scheme) -> MVSeries:
 
 
 def _scheme_pairs(table: AbundanceTable, scheme: Scheme) -> list[MVPair]:
-    if scheme.tag == "subjects_across_species":
-        pairs = _row_pairs(table, labeled_by_time=False)
-    elif scheme.tag == "species_across_subjects":
-        pairs = _column_pairs(table)
-    elif scheme.tag == "mean_converted_subjects":
+    """One pair per row of the scheme's matrix, a transpose for column
+    schemes. The matrix is made C-contiguous, so each row or column is
+    summed in the order its 1-D slice would be."""
+    tag = scheme.tag
+    if tag == "mean_converted_subjects":
         if table.times is None:
             raise UsageError("mean_converted_subjects requires a table with a time axis")
-        pairs = _row_pairs(mean_convert(table), labeled_by_time=False)
-    elif scheme.tag == "per_subject_time":
-        rows = _subject_rows(table, scheme)
-        sub = AbundanceTable(
-            tuple(table.subject_ids[i] for i in rows),
-            table.species_ids,
-            table.counts[rows],
-            times=tuple(table.times[i] for i in rows),
-        )
-        pairs = _row_pairs(sub, labeled_by_time=True)
-    elif scheme.tag == "per_subject_species":
-        rows = _subject_rows(table, scheme)
-        pairs = _column_pairs(table, rows)
-    else:  # unreachable: Scheme validates its tag
-        raise UsageError(f"unknown scheme tag {scheme.tag!r}")
-    return pairs
+        table = mean_convert(table)
+    counts = table.counts
+    if tag in _PER_SUBJECT:
+        if table.times is None:
+            raise UsageError(f"scheme {tag!r} requires a table with a time axis")
+        rows = table.rows_for(scheme.subject)
+        if not rows:
+            raise UsageError(f"unknown subject {scheme.subject!r}")
+        counts = counts[rows]
+    if tag in ("species_across_subjects", "per_subject_species"):
+        counts, labels = counts.T, table.species_ids
+    elif tag == "per_subject_time":
+        labels = [_fmt_time(table.times[i]) for i in rows]
+    elif table.times is None:
+        labels = table.subject_ids
+    else:
+        labels = [f"{s}@{_fmt_time(t)}" for s, t in zip(table.subject_ids, table.times)]
+    means, variances = _row_stats(np.ascontiguousarray(counts))
+    return [MVPair(*p) for p in zip(labels, means.tolist(), variances.tolist())]

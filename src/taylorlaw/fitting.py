@@ -86,12 +86,15 @@ class Classification:
     dof: int
 
 
-def split_usable(series: MVSeries) -> tuple[list[MVPair], list[MVPair]]:
-    """Partition pairs into (usable for log fitting, dropped M<=0 or V<=0)."""
+def split_usable(
+    series: MVSeries, method: str = "log_ols"
+) -> tuple[list[MVPair], list[MVPair]]:
+    """Partition pairs into (usable, dropped): log_ols needs M>0 and V>0, nls M>0."""
     used: list[MVPair] = []
     dropped: list[MVPair] = []
     for p in series.pairs:
-        (used if p.mean > 0 and p.variance > 0 else dropped).append(p)
+        usable = p.mean > 0 and (p.variance > 0 or method == "nls")
+        (used if usable else dropped).append(p)
     return used, dropped
 
 
@@ -176,7 +179,7 @@ def fit_nls(
     reduces the objective by a relative amount below ``tol``.
     Non-convergence is reported via ``converged=False``, not an exception.
     """
-    kept = [p for p in series.pairs if p.mean > 0]
+    kept = split_usable(series, "nls")[0]
     if len(kept) < 3:
         raise InsufficientDataError(
             f"insufficient data: {len(kept)} pairs with positive mean, need 3"

@@ -27,8 +27,10 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass
 from datetime import date
+from functools import cached_property
 from typing import IO, Iterable, Sequence, Union
 
 import numpy as np
@@ -95,12 +97,19 @@ class AbundanceTable:
                     )
                 seen[subject] = t
 
+    @cached_property
+    def _rows_by_subject(self) -> dict[str, list[int]]:
+        index: dict[str, list[int]] = {}
+        for i, subject in enumerate(self.subject_ids):
+            index.setdefault(subject, []).append(i)
+        return index
+
     def subjects(self) -> tuple[str, ...]:
         """Distinct subjects in first-appearance order."""
-        return tuple(dict.fromkeys(self.subject_ids))
+        return tuple(self._rows_by_subject)
 
     def rows_for(self, subject: str) -> list[int]:
-        return [i for i, s in enumerate(self.subject_ids) if s == subject]
+        return list(self._rows_by_subject.get(subject, ()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AbundanceTable):
@@ -208,23 +217,62 @@ def _parse_count(cell: str, line_no: int, column: str) -> float:
     return value
 
 
-def _check_width(fields: Sequence[str], expected: int, line_no: int) -> None:
-    if len(fields) != expected:
-        raise ParseError(
-            f"line {line_no}: expected {expected} fields, got {len(fields)}"
-        )
-
-
-def _species_header(fields: Sequence[str], line_no: int) -> tuple[str, ...]:
-    species = tuple(s.strip() for s in fields)
-    if not species:
-        raise ParseError(f"line {line_no}: header names no species columns")
-    dupes = {s for s in species if species.count(s) > 1}
+def _read_header(
+    rows: list[tuple[int, list[str]]], lead: Sequence[str]
+) -> tuple[str, ...]:
+    """Check that the header starts with ``lead``; return the unique column
+    names after it."""
+    head_no, header = rows[0]
+    if [f.strip() for f in header[: len(lead)]] != list(lead):
+        raise ParseError(f"line {head_no}: header must start with {','.join(lead)!r}")
+    names = tuple(s.strip() for s in header[len(lead) :])
+    if not names:
+        raise ParseError(f"line {head_no}: header names no species columns")
+    dupes = [s for s, n in Counter(names).items() if n > 1]
     if dupes:
-        raise ParseError(
-            f"line {line_no}: duplicate species column {sorted(dupes)[0]!r}"
-        )
-    return species
+        raise ParseError(f"line {head_no}: duplicate species column {min(dupes)!r}")
+    return names
+
+
+def _read_rows(
+    data: list[tuple[int, list[str]]],
+    lead: Sequence[str],
+    names: tuple[str, ...],
+    unique: bool,
+) -> tuple[list[str], np.ndarray]:
+    """Check and convert the data rows below a ``lead`` + ``names`` header.
+
+    Returns the stripped first-column ids and the count matrix. Rows are
+    checked in file order: width, then (if ``unique``) a repeated id, then
+    the cells. A row whose cells do not all convert to finite non-negative
+    floats is re-read cell by cell, so the error names its first bad cell.
+    """
+    if not data:
+        raise ParseError("no observations")
+    width = len(lead) + len(names)
+    ids: list[str] = []
+    seen: set[str] = set()
+    counts = np.empty((len(data), len(names)))
+    for r, (line_no, fields) in enumerate(data):
+        if len(fields) != width:
+            raise ParseError(
+                f"line {line_no}: expected {width} fields, got {len(fields)}"
+            )
+        row_id = fields[0].strip()
+        if unique and row_id in seen:
+            raise ParseError(f"line {line_no}: duplicate {lead[0]} {row_id!r}")
+        seen.add(row_id)
+        ids.append(row_id)
+        cells = fields[len(lead) :]
+        try:
+            values = np.array(cells, dtype=float)
+            ok = np.isfinite(values).all() and (values >= 0).all()
+        except ValueError:
+            ok = False
+        if not ok:
+            values = [_parse_count(c, line_no, name) for c, name in zip(cells, names)]
+        counts[r] = values
+    return ids, counts
 
 
 def parse_cross_sectional(text: Union[str, IO[str], Iterable[str]]) -> AbundanceTable:
@@ -235,23 +283,9 @@ def parse_cross_sectional(text: Union[str, IO[str], Iterable[str]]) -> Abundance
     line and column.
     """
     rows = _data_lines(text)
-    head_no, header = rows[0]
-    if not header or header[0].strip() != "subject_id":
-        raise ParseError(f"line {head_no}: header must start with 'subject_id'")
-    species = _species_header(header[1:], head_no)
-    data = rows[1:]
-    if not data:
-        raise ParseError("no observations")
-    subject_ids: list[str] = []
-    counts = np.zeros((len(data), len(species)))
-    for r, (line_no, fields) in enumerate(data):
-        _check_width(fields, 1 + len(species), line_no)
-        subject = fields[0].strip()
-        if subject in subject_ids:
-            raise ParseError(f"line {line_no}: duplicate subject_id {subject!r}")
-        subject_ids.append(subject)
-        for c, cell in enumerate(fields[1:]):
-            counts[r, c] = _parse_count(cell, line_no, species[c])
+    lead = ("subject_id",)
+    species = _read_header(rows, lead)
+    subject_ids, counts = _read_rows(rows[1:], lead, species, unique=True)
     return AbundanceTable(tuple(subject_ids), species, counts)
 
 
@@ -289,24 +323,11 @@ def parse_longitudinal(text: Union[str, IO[str], Iterable[str]]) -> AbundanceTab
     subject the input order is kept and times must be strictly increasing.
     """
     rows = _data_lines(text)
-    head_no, header = rows[0]
-    if len(header) < 2 or header[0].strip() != "subject_id" or header[1].strip() != "time":
-        raise ParseError(f"line {head_no}: header must start with 'subject_id,time'")
-    species = _species_header(header[2:], head_no)
+    lead = ("subject_id", "time")
+    species = _read_header(rows, lead)
     data = rows[1:]
-    if not data:
-        raise ParseError("no observations")
-
-    subjects_raw: list[str] = []
-    time_cells: list[tuple[int, str]] = []
-    count_rows = np.zeros((len(data), len(species)))
-    for r, (line_no, fields) in enumerate(data):
-        _check_width(fields, 2 + len(species), line_no)
-        subjects_raw.append(fields[0].strip())
-        time_cells.append((line_no, fields[1]))
-        for c, cell in enumerate(fields[2:]):
-            count_rows[r, c] = _parse_count(cell, line_no, species[c])
-    times_raw = _parse_time_cells(time_cells)
+    subjects_raw, count_rows = _read_rows(data, lead, species, unique=False)
+    times_raw = _parse_time_cells([(line_no, fields[1]) for line_no, fields in data])
 
     by_subject: dict[str, list[int]] = {}
     for r, subject in enumerate(subjects_raw):
@@ -343,18 +364,19 @@ def parse_longitudinal(text: Union[str, IO[str], Iterable[str]]) -> AbundanceTab
 def parse_location(text: Union[str, IO[str], Iterable[str]]) -> LocationTable:
     """Parse a ``species,<loc...>`` CSV, with optional ``distance`` row."""
     rows = _data_lines(text)
-    head_no, header = rows[0]
-    if not header or header[0].strip() != "species":
-        raise ParseError(f"line {head_no}: header must start with 'species'")
-    labels = _species_header(header[1:], head_no)
+    lead = ("species",)
+    labels = _read_header(rows, lead)
     data = rows[1:]
 
     distances = tuple(float(i) for i in range(1, len(labels) + 1))
-    if data and data[0][1] and data[0][1][0].strip() == "distance":
-        line_no, fields = data[0]
-        _check_width(fields, 1 + len(labels), line_no)
+    if data and data[0][1][0].strip() == "distance":
+        line_no, fields = data.pop(0)
+        if len(fields) != 1 + len(labels):
+            raise ParseError(
+                f"line {line_no}: expected {1 + len(labels)} fields, got {len(fields)}"
+            )
         parsed: list[float] = []
-        for c, cell in enumerate(fields[1:]):
+        for cell in fields[1:]:
             try:
                 value = float(cell.strip())
             except ValueError:
@@ -367,20 +389,8 @@ def parse_location(text: Union[str, IO[str], Iterable[str]]) -> LocationTable:
                 raise ParseError(f"line {line_no}: distances must increase")
             parsed.append(value)
         distances = tuple(parsed)
-        data = data[1:]
 
-    if not data:
-        raise ParseError("no observations")
-    species_ids: list[str] = []
-    counts = np.zeros((len(data), len(labels)))
-    for r, (line_no, fields) in enumerate(data):
-        _check_width(fields, 1 + len(labels), line_no)
-        name = fields[0].strip()
-        if name in species_ids:
-            raise ParseError(f"line {line_no}: duplicate species {name!r}")
-        species_ids.append(name)
-        for c, cell in enumerate(fields[1:]):
-            counts[r, c] = _parse_count(cell, line_no, labels[c])
+    species_ids, counts = _read_rows(data, lead, labels, unique=True)
     return LocationTable(tuple(species_ids), labels, counts, distances)
 
 

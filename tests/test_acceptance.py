@@ -7,15 +7,19 @@ scorecard. Stated runtime ceilings are asserted with wall-clock timing.
 
 import functools
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from conftest import EXACT_TABLE_CSV, exact_series, synthetic_longitudinal
+
+import taylorlaw
 from taylorlaw import (
     Scheme,
     classify,
@@ -281,6 +285,10 @@ def test_criterion_09_cli_determinism(tmp_path):
             "subjects_across_species",
         ],
     ]
+    # The children import the taylorlaw this process imported, installed or not.
+    src = str(Path(taylorlaw.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     identical = []
     for argv in commands:
         runs = [
@@ -288,6 +296,7 @@ def test_criterion_09_cli_determinism(tmp_path):
                 [sys.executable, "-m", "taylorlaw", *argv],
                 capture_output=True,
                 check=True,
+                env=env,
             )
             for _ in range(2)
         ]

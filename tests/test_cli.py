@@ -346,6 +346,22 @@ class TestNormalization:
         assert rc == 2
         assert "'empty'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("text", "row"),
+        [
+            ("subject_id,sp1,sp2\nfirst,0,0\ngood,1,2\nlast,0,0\n", "first"),
+            ("subject_id,time,sp1,sp2\na,1,1,2\nb,1,0,0\na,2,0,0\n", "a@2"),
+        ],
+    )
+    def test_zero_sum_error_names_the_first_such_row(self, capsys, tmp_path, text, row):
+        """Rows of a timed table are regrouped by subject before the check."""
+        path = tmp_path / "zero.csv"
+        path.write_text(text)
+        argv = ["fit-taylor", "--input", str(path), "--normalize"]
+        assert main(argv + ["--scheme", "subjects_across_species"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot normalize: row {row!r} sums to zero\n"
+
 
 class TestPacdCommand:
     def test_direct_parameters(self, capsys):

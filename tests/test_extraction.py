@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from taylorlaw import (
+    SCHEME_TAGS,
     DataError,
     MVPair,
     MVSeries,
@@ -299,6 +300,91 @@ def test_scaling_counts_scales_mean_and_variance(counts, scale):
         extract_pairs(base, scheme).pairs, extract_pairs(scaled, scheme).pairs
     ):
         assert q.mean == pytest.approx(scale * p.mean, rel=1e-9, abs=1e-300)
+        # Near-equal counts leave a variance made of rounding noise alone. A
+        # two-pass variance of n values is off by at most a small multiple of
+        # n * eps * mean^2, in the base and in the scaled row alike, so that
+        # much is allowed on top of the relative tolerance.
+        noise = 4 * n_cols * np.finfo(float).eps * (scale * p.mean) ** 2
         assert q.variance == pytest.approx(
-            scale**2 * p.variance, rel=1e-9, abs=1e-300
+            scale**2 * p.variance, rel=1e-9, abs=max(noise, 1e-300)
         )
+
+
+def _slice_variance(values: np.ndarray) -> float:
+    """Reference sample variance of one 1-D slice, as a per-slice loop takes it."""
+    if values.size <= 1 or np.all(values == values.flat[0]):
+        return 0.0
+    return float(np.var(values, ddof=1))
+
+
+def _slice_pairs(table, scheme: Scheme) -> list[tuple[str, float, float]]:
+    """Reference extraction: one 1-D ``.mean()`` and variance per row or column."""
+
+    def rows(counts, labels):
+        return [
+            (l, float(r.mean()), _slice_variance(r)) for l, r in zip(labels, counts)
+        ]
+
+    def columns(counts):
+        return [
+            (sp, float(counts[:, j].mean()), _slice_variance(counts[:, j]))
+            for j, sp in enumerate(table.species_ids)
+        ]
+
+    subject_rows = [i for i, s in enumerate(table.subject_ids) if s == scheme.subject]
+    if scheme.tag == "subjects_across_species":
+        labels = [f"{s}@{t}" for s, t in zip(table.subject_ids, table.times)]
+        return rows(table.counts, labels)
+    if scheme.tag == "species_across_subjects":
+        return columns(table.counts)
+    if scheme.tag == "mean_converted_subjects":
+        converted = mean_convert(table)
+        return rows(converted.counts, converted.subject_ids)
+    if scheme.tag == "per_subject_time":
+        labels = [str(table.times[i]) for i in subject_rows]
+        return rows(table.counts[subject_rows], labels)
+    return columns(table.counts[subject_rows])
+
+
+# Lengths on both sides of 128, where numpy's pairwise summation starts
+# splitting a reduction into blocks.
+_lengths = st.one_of(st.integers(1, 8), st.integers(120, 300))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_subjects=st.integers(1, 3),
+    n_times=_lengths,
+    n_species=_lengths,
+    seed=st.integers(0, 2**32 - 1),
+    order=st.sampled_from("CF"),
+)
+def test_all_schemes_match_per_slice_reference_exactly(
+    n_subjects, n_times, n_species, seed, order
+):
+    """Every scheme's statistics equal the per-slice loop's, bit for bit.
+
+    Counts span nine orders of magnitude, so a change of summation order
+    would show in the last bits; some rows and columns are constant,
+    subjects' rows are interleaved, and the table may keep its counts in
+    either memory order.
+    """
+    from taylorlaw.tables import AbundanceTable
+
+    rng = np.random.default_rng(seed)
+    n_rows = n_subjects * n_times
+    shape = (n_rows, n_species)
+    counts = rng.random(shape) * 10 ** rng.uniform(-3, 6, shape)
+    counts[:, rng.random(n_species) < 0.1] = 0.5
+    counts[rng.random(n_rows) < 0.1] = 7.25
+    table = AbundanceTable(
+        tuple(f"s{r % n_subjects}" for r in range(n_rows)),
+        tuple(f"sp{j}" for j in range(n_species)),
+        np.asarray(counts, order=order),
+        times=tuple(r // n_subjects for r in range(n_rows)),
+    )
+    schemes = [Scheme(tag) for tag in SCHEME_TAGS[:3]] + [
+        Scheme(tag, subject) for tag in SCHEME_TAGS[3:] for subject in table.subjects()
+    ]
+    for scheme in schemes:
+        assert list(extract_pairs(table, scheme).pairs) == _slice_pairs(table, scheme)

@@ -314,3 +314,78 @@ def test_round_trip_random_longitudinal(data):
         tuple(subject_ids), tuple(species), counts, times=tuple(times)
     )
     assert parse_longitudinal(format_longitudinal(table)) == table
+
+
+@pytest.mark.parametrize(
+    ("parse", "text", "message"),
+    [
+        (
+            parse_cross_sectional,
+            "subject_id,a,b\nr1,1,x\nr2,1\n",
+            "line 2, column 'b': non-numeric cell 'x'",
+        ),
+        (
+            parse_longitudinal,
+            "subject_id,time,a,b\ns,1,1,-2\ns,2,1\n",
+            "line 2, column 'b': negative count '-2'",
+        ),
+        (
+            parse_location,
+            "species,l1,l2\nsp1,NA,1\nsp2,1,2,3\n",
+            "line 2, column 'l1': missing value 'NA' is not allowed",
+        ),
+        (
+            parse_location,
+            "species,l1,l2\ndistance,1,2\nsp1,1e400,1\nsp2,1\n",
+            "line 3, column 'l1': non-finite cell '1e400'",
+        ),
+        (
+            parse_cross_sectional,
+            "subject_id,a,b\nr1,1\nr2,1,x\n",
+            "line 2: expected 3 fields, got 2",
+        ),
+    ],
+)
+def test_first_bad_row_in_file_order_is_reported(parse, text, message):
+    """A bad cell is reported before a ragged row below it, and vice versa."""
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
+_odd_cells = st.sampled_from(
+    [
+        "NA", "na", "N/A", "nan", "NaN", "-nan", "null", "None", "", " ",
+        "inf", "-inf", "Infinity", "1e400", "-1e400", "1e-400", "-0", "-0.0",
+        "+0", "1_000", "1__000", "_1", "1_", " 12 ", "\t3.5\n", " 7 ",
+        "٣", "１２", "١٢٣.٥", "१२",
+        "0x10", "1e", ".5", "5.", "-1", "-1e-300", "1,5", "1 000",
+    ]
+)
+_cell_text = st.one_of(
+    _odd_cells,
+    st.text(max_size=6),
+    st.floats().map(repr),
+    st.integers(-(10**6), 10**20).map(str),
+    st.tuples(st.sampled_from(["", " ", "\t", "　"]), _odd_cells).map("".join),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=st.lists(_cell_text, min_size=1, max_size=4))
+def test_row_reader_accepts_exactly_what_the_cell_parser_accepts(cells):
+    """The whole-row conversion keeps the per-cell rule: same values down to
+    the sign of zero, or the same error naming the first bad cell."""
+    from taylorlaw.tables import _parse_count, _read_rows
+
+    names = tuple(f"c{j}" for j in range(len(cells)))
+    data = [(2, ["r", *cells])]
+    try:
+        expected = [_parse_count(c, 2, n) for c, n in zip(cells, names)]
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            _read_rows(data, ("subject_id",), names, unique=True)
+        assert str(got.value) == str(exc)
+    else:
+        _, counts = _read_rows(data, ("subject_id",), names, unique=True)
+        assert [v.hex() for v in counts[0].tolist()] == [v.hex() for v in expected]
