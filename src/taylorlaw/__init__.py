@@ -57,7 +57,6 @@ from .pointprocess import (
     derive_seed,
     estimate_pcf,
     fit_pcf,
-    pairwise_torus_distances,
     quadrat_counts,
     simulate_hardcore,
     simulate_poisson,
@@ -126,7 +125,6 @@ __all__ = [
     "mean_convert",
     "pacd",
     "pacd_from_params",
-    "pairwise_torus_distances",
     "parse_cross_sectional",
     "parse_location",
     "parse_longitudinal",

@@ -326,14 +326,14 @@ def _normalize_table(table: AbundanceTable) -> AbundanceTable:
 def _fit_each(what: str, items, fit: Callable, failed: Callable) -> list:
     """Apply ``fit`` to every item, reporting a failure as ``failed(item, error)``.
 
-    One item's error does not stop the rest; only when every item fails is
-    the run a data error.
+    One item's data error does not stop the rest; only when every item fails
+    is the run a data error. A usage error fails the whole run at once.
     """
     results, errors = [], []
     for item in items:
         try:
             results.append(fit(item))
-        except TaylorLawError as exc:
+        except DataError as exc:
             errors.append(str(exc))
             results.append(failed(item, str(exc)))
     if errors and len(errors) == len(results):
@@ -380,11 +380,10 @@ def _run_pacd(config: RunConfig) -> dict:
 def _run_dispersion(config: RunConfig) -> dict:
     table = parse_location(_read_text(config.input_path))
     xs = list(table.distances)
-    c_interval = (config.c_low, config.c_high)
     fits = _fit_each(
         "species",
         table.counts,
-        lambda ns: asdict(fit_dispersion(xs, ns.tolist(), c_interval)),
+        lambda ns: asdict(fit_dispersion(xs, ns.tolist(), (config.c_low, config.c_high))),
         lambda ns, error: {"error": error},
     )
     return {

@@ -119,11 +119,15 @@ def fit_dispersion(
             "degenerate design: need at least 4 distinct distances"
         )
     lo, hi = float(c_interval[0]), float(c_interval[1])
-    if not hi > lo:
-        raise UsageError("c interval must have positive width")
+    if not -math.inf < lo < hi < math.inf:
+        raise UsageError("c interval must have finite ends and positive width")
     lo = max(lo, _C_FLOOR)
     if not hi > lo:
         raise UsageError(f"c interval must extend above {_C_FLOOR}")
+    # x**c is monotone in c: if any c in the interval overflows, the upper end does.
+    with np.errstate(over="ignore"):
+        if np.isinf(np.power(x, hi)).any():
+            raise DegenerateDesignError(f"degenerate design: x**c overflows at c = {hi:g}")
 
     log_x = np.log(x)
     log_n = np.log(n)

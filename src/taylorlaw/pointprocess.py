@@ -37,6 +37,8 @@ EXPERIMENT_KINDS = ("poisson_sweep", "thomas_cluster_sweep", "hardcore_sweep")
 PCF_FORMS = ("paper_form", "xi_form")
 
 _SEED_LIMIT = 2**64
+# Most points, quadrats, rings, pooled counts or pairs one call may ask for.
+_SIZE_LIMIT = 10**7
 
 
 def _check_seed(seed: int) -> int:
@@ -181,22 +183,24 @@ class PcfFit:
             raise ValueError("a correlation fit needs at least 3 bins")
 
 
-def pairwise_torus_distances(points: np.ndarray) -> np.ndarray:
-    """Condensed vector of all unordered pairwise torus distances."""
-    pts = np.asarray(points, dtype=float)
-    n = pts.shape[0]
-    if n < 2:
-        return np.empty(0)
-    i, j = np.triu_indices(n, k=1)
+def _within_limit(what: str, size: float) -> float:
+    if size > _SIZE_LIMIT:
+        raise UsageError(f"{what} ({size:g}) exceed the limit of {_SIZE_LIMIT:g}")
+    return size
+
+
+def _close_pairs(pts: np.ndarray, r: float) -> tuple[np.ndarray, ...]:
+    """Pairs i < j about ``r`` or less apart, with their exact torus distance."""
+    from scipy.spatial import cKDTree  # not at module load: it takes ~0.17 s
+    # The widening keeps the tree's own rounding from losing a pair at the edge.
+    r_tree = r * (1 + 1e-9)
+    tree = cKDTree(pts, boxsize=1.0)
+    # Count before listing: the list of a dense pattern can outgrow memory.
+    _within_limit("close pairs", (tree.count_neighbors(tree, r_tree) - len(pts)) / 2)
+    i, j = tree.query_pairs(r_tree, output_type="ndarray").T
     d = np.abs(pts[i] - pts[j])
     d = np.minimum(d, 1.0 - d)
-    return np.hypot(d[:, 0], d[:, 1])
-
-
-def _torus_distance_matrix(pts: np.ndarray) -> np.ndarray:
-    d = np.abs(pts[:, None, :] - pts[None, :, :])
-    d = np.minimum(d, 1.0 - d)
-    return np.hypot(d[..., 0], d[..., 1])
+    return i, j, np.hypot(d[:, 0], d[:, 1])
 
 
 def simulate_poisson(intensity: float, seed: int) -> PointPattern:
@@ -204,7 +208,7 @@ def simulate_poisson(intensity: float, seed: int) -> PointPattern:
     if not intensity > 0:
         raise DomainError("intensity must be positive")
     rng = np.random.default_rng(_check_seed(seed))
-    count = rng.poisson(intensity)
+    count = rng.poisson(_within_limit("expected points", intensity))
     points = rng.random((count, 2))
     return PointPattern(points, f"poisson(intensity={intensity:g})", seed)
 
@@ -216,8 +220,9 @@ def simulate_thomas(
 
     Only offspring are returned; parents are latent cluster centers.
     """
-    if not (parent_intensity > 0 and mean_offspring > 0 and sigma > 0):
-        raise DomainError("all cluster parameters must be positive")
+    if not (parent_intensity > 0 and mean_offspring > 0 and 0 < sigma <= 1e300):
+        raise DomainError("cluster parameters must be positive, sigma at most 1e300")
+    _within_limit("expected points", max(parent_intensity, 1) * max(mean_offspring, 1))
     rng = np.random.default_rng(_check_seed(seed))
     n_parents = rng.poisson(parent_intensity)
     parents = rng.random((n_parents, 2))
@@ -247,20 +252,18 @@ def simulate_hardcore(
     if not 0.0 < hardcore_radius < 0.5:
         raise DomainError("hardcore radius must lie in (0, 0.5)")
     rng = np.random.default_rng(_check_seed(seed))
-    count = rng.poisson(proposal_intensity)
+    count = rng.poisson(_within_limit("expected proposals", proposal_intensity))
     proposals = rng.random((count, 2))
     marks = rng.random(count)
     descriptor = (
         f"hardcore(proposal_intensity={proposal_intensity:g}, "
         f"radius={hardcore_radius:g})"
     )
-    if count == 0:
-        return PointPattern(proposals, descriptor, seed)
-    dist = _torus_distance_matrix(proposals)
-    close = dist < hardcore_radius
-    np.fill_diagonal(close, False)
-    beaten = close & (marks[None, :] < marks[:, None])
-    keep = ~beaten.any(axis=1)
+    i, j, d = _close_pairs(proposals, hardcore_radius)
+    i, j = i[d < hardcore_radius], j[d < hardcore_radius]
+    keep = np.ones(count, dtype=bool)
+    keep[j[marks[i] < marks[j]]] = False
+    keep[i[marks[j] < marks[i]]] = False
     return PointPattern(proposals[keep], descriptor, seed)
 
 
@@ -273,7 +276,7 @@ def quadrat_counts(pattern: PointPattern, q: int) -> QuadratCounts:
     pts = pattern.points
     ix = np.floor(pts[:, 0] * q).astype(np.int64)
     iy = np.floor(pts[:, 1] * q).astype(np.int64)
-    flat = np.bincount(ix * q + iy, minlength=q * q)
+    flat = np.bincount(ix * q + iy, minlength=_within_limit("quadrats", q * q))
     return QuadratCounts(q, flat.reshape(q, q))
 
 
@@ -308,8 +311,6 @@ def taylor_experiment(
     keyword defaults. Each level pools reps * q * q counts into a single
     mean-variance pair labeled by the level value.
     """
-    if kind not in EXPERIMENT_KINDS:
-        raise UsageError(f"unknown experiment kind {kind!r}")
     if not levels:
         raise UsageError("levels must be non-empty")
     lv = [float(x) for x in levels]
@@ -321,7 +322,7 @@ def taylor_experiment(
         raise UsageError("reps must be an integer >= 1")
     if not (isinstance(q, (int, np.integer)) and q >= 1):
         raise UsageError("q must be an integer >= 1")
-    _check_seed(seed)
+    _within_limit("pooled counts per level", int(reps) * int(q) ** 2)
 
     pairs = []
     for li, level in enumerate(lv):
@@ -361,19 +362,16 @@ def estimate_pcf(
         raise InsufficientDataError(
             "insufficient data: a correlation estimate needs at least 2 points"
         )
-    n_bins = int(math.floor(r_max / bin_width + 1e-12))
-    edges_ok = int(math.floor((0.5 + 1e-12) / bin_width))
-    n_bins = min(n_bins, edges_ok)
+    n_bins = int(math.floor(_within_limit("rings", r_max / bin_width) + 1e-12))
+    n_bins = min(n_bins, int(math.floor((0.5 + 1e-12) / bin_width)))
     centers = (np.arange(n_bins) + 0.5) * bin_width
-    d = pairwise_torus_distances(pattern.points)
+    d = _close_pairs(pattern.points, n_bins * bin_width)[2]
     # Half-open rings [k*w, (k+1)*w) by integer bin index.
     idx = np.floor(d / bin_width).astype(np.int64)
-    idx = idx[idx < n_bins]
-    raw = np.bincount(idx, minlength=n_bins)[:n_bins]
+    raw = np.bincount(idx[idx < n_bins], minlength=n_bins)
     n_pairs = n * (n - 1) / 2.0
     expected = n_pairs * 2.0 * math.pi * centers * bin_width
-    g = raw / expected
-    return PcfEstimate(centers, g, float(bin_width), n)
+    return PcfEstimate(centers, raw / expected, float(bin_width), n)
 
 
 def fit_pcf(est: PcfEstimate, form: str) -> PcfFit:

@@ -40,3 +40,16 @@ def torus_distance(p: tuple[float, float], q: tuple[float, float]) -> float:
     dx = abs(p[0] - q[0])
     dy = abs(p[1] - q[1])
     return math.hypot(min(dx, 1.0 - dx), min(dy, 1.0 - dy))
+
+
+def pairwise_torus_distances(points: np.ndarray) -> np.ndarray:
+    """All-pairs oracle: condensed vector of every unordered torus distance,
+    in the order of ``np.triu_indices(n, k=1)``."""
+    pts = np.asarray(points, dtype=float)
+    n = pts.shape[0]
+    if n < 2:
+        return np.empty(0)
+    i, j = np.triu_indices(n, k=1)
+    d = np.abs(pts[i] - pts[j])
+    d = np.minimum(d, 1.0 - d)
+    return np.hypot(d[:, 0], d[:, 1])

@@ -1,10 +1,14 @@
 """Command-line behavior: validation, report schemas, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import EXACT_TABLE_CSV, synthetic_longitudinal
 from taylorlaw import (
@@ -637,6 +641,148 @@ class TestHostileInput:
         rc, out, err = run_hostile(capsys, [*argv, "--input", str(path)])
         assert (rc, out) == (2, "")
         assert err == f"error: {path}: not UTF-8 text: byte 0xe9 at offset 14\n"
+
+    # Each size is rejected before anything is drawn or allocated.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--kind", "poisson", "--intensity", "inf"],
+            ["simulate", "--kind", "poisson", "--intensity", "1e20"],
+            ["simulate", "--kind", "thomas", "--mean-offspring", "inf"],
+            ["simulate", "--kind", "hardcore", "--proposal-intensity", "1e19"],
+            ["experiment", "--kind", "poisson_sweep", "--levels", "1e20"],
+            ["experiment", "--kind", "poisson_sweep", "--reps", "100000", "--q", "100"],
+            ["pcf", "--kind", "poisson", "--bin-width", "1e-9"],
+        ],
+    )
+    def test_oversized_request_is_a_usage_error(self, capsys, argv):
+        rc, out, err = run_hostile(capsys, argv)
+        assert (rc, out) == (1, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "exceed the limit of 1e+07" in err
+
+    @pytest.mark.parametrize("sigma", ["inf", "1e308"])
+    def test_unbounded_sigma_is_a_domain_error(self, capsys, sigma):
+        # sigma = 1e308 used to overflow some normal displacements to inf.
+        rc, out, err = run_hostile(
+            capsys, ["simulate", "--kind", "thomas", "--sigma", sigma, "--seed", "1"]
+        )
+        assert (rc, out) == (2, "")
+        assert err == "error: cluster parameters must be positive, sigma at most 1e300\n"
+
+    @pytest.mark.parametrize(
+        "c_high,status,message",
+        [
+            ("inf", 1, "c interval must have finite ends and positive width"),
+            # 'decayer' overflows 8**c; 'vanisher' has a zero count.
+            (
+                "1e308",
+                2,
+                "no species could be fitted; first error: "
+                "degenerate design: x**c overflows at c = 1e+308",
+            ),
+        ],
+    )
+    def test_unbounded_c_interval(self, capsys, tmp_path, c_high, status, message):
+        path = tmp_path / "loc.csv"
+        path.write_text(LOCATION_CSV)
+        rc, out, err = run_hostile(
+            capsys, ["fit-dispersion", "--input", str(path), "--c-high", c_high]
+        )
+        assert (rc, out, err) == (status, "", f"error: {message}\n")
+
+
+# One value of each hostile class for the numeric flags: negative, zero,
+# not a number, infinite, above the size limit, and small valid ones kept
+# small enough that any mix of them runs fast.
+_NUMBERS = ["-1", "-0.5", "0", "nan", "inf", "-inf", "2e7", "1e20", "1e308"]
+_NUMBERS += ["0.01", "0.3", "5", "60"]
+_INTEGERS = ["-1", "0", "nan", "inf", "20000000", "1", "3", "12"]
+_GENERATOR_FLAGS = (
+    "--intensity",
+    "--parent-intensity",
+    "--mean-offspring",
+    "--sigma",
+    "--proposal-intensity",
+    "--hardcore-radius",
+)
+_FLOAT_FLAGS = {
+    "simulate": _GENERATOR_FLAGS,
+    "pcf": _GENERATOR_FLAGS + ("--bin-width", "--r-max"),
+    "experiment": ("--parent-intensity", "--sigma", "--hardcore-radius", "--alpha"),
+    "fit-dispersion": ("--c-low", "--c-high"),
+}
+_INT_FLAGS = {
+    "simulate": ("--seed",),
+    "pcf": ("--seed",),
+    "experiment": ("--reps", "--q", "--seed"),
+}
+_KINDS = {
+    "simulate": ("poisson", "thomas", "hardcore"),
+    "pcf": ("poisson", "thomas", "hardcore"),
+    "experiment": ("poisson_sweep", "thomas_cluster_sweep", "hardcore_sweep"),
+}
+
+
+@st.composite
+def _hostile_argv(draw, command):
+    argv = [command]
+    if command in _KINDS:
+        argv += ["--kind", draw(st.sampled_from(_KINDS[command]))]
+    flags = [(f, _NUMBERS) for f in _FLOAT_FLAGS[command]]
+    flags += [(f, _INTEGERS) for f in _INT_FLAGS.get(command, ())]
+    for flag, pool in flags:
+        value = draw(st.one_of(st.none(), st.sampled_from(pool)))
+        if value is not None:
+            argv += [f"{flag}={value}"]
+    if command == "experiment" and draw(st.booleans()):
+        levels = draw(st.lists(st.sampled_from(_NUMBERS), min_size=1, max_size=3))
+        argv += [f"--levels={','.join(levels)}"]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def location_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "loc.csv"
+    path.write_text(LOCATION_CSV)
+    return str(path)
+
+
+class TestHostileFlagFuzz:
+    """Any mix of hostile numeric flags exits 0, 1 or 2 without a traceback,
+    and a failure prints exactly one ``error:`` line."""
+
+    @pytest.mark.parametrize(
+        "command", ["simulate", "pcf", "experiment", "fit-dispersion"]
+    )
+    def test_numeric_flags(self, command, location_csv):
+        @settings(max_examples=60, deadline=None)
+        @given(argv=_hostile_argv(command))
+        def run(argv):
+            if command == "fit-dispersion":
+                argv = [*argv, "--input", location_csv]
+            out, err = io.StringIO(), io.StringIO()
+            with (
+                contextlib.redirect_stdout(out),
+                contextlib.redirect_stderr(err),
+                warnings.catch_warnings(),
+            ):
+                warnings.simplefilter("error")
+                try:
+                    rc = main(argv)
+                except SystemExit as exc:
+                    rc = exc.code
+            text = err.getvalue()
+            assert rc in (0, 1, 2), (argv, text)
+            assert "Traceback" not in text, argv
+            if rc == 0:
+                assert text == "", argv
+            else:
+                error_lines = [line for line in text.splitlines() if "error:" in line]
+                assert len(error_lines) == 1, (argv, text)
+                assert out.getvalue() == "", argv
+
+        run()
 
 
 class TestArgumentParsing:

@@ -104,6 +104,19 @@ class TestDispersionErrors:
         with pytest.raises(UsageError, match="positive width"):
             fit_dispersion(list(XS), list(XS), c_interval=(2.0, 2.0))
 
+    @pytest.mark.parametrize(
+        "c_interval", [(0.0, math.inf), (-math.inf, 5.0), (0.0, math.nan)]
+    )
+    def test_non_finite_c_interval(self, c_interval):
+        with pytest.raises(UsageError, match="finite ends"):
+            fit_dispersion(list(XS), list(XS), c_interval=c_interval)
+
+    def test_overflowing_x_to_the_c_names_c(self):
+        # 6**c overflows for c above about 396, well inside the interval.
+        message = r"x\*\*c overflows at c = 1e\+308"
+        with pytest.raises(DegenerateDesignError, match=message):
+            fit_dispersion(list(XS), list(XS), c_interval=(0.0, 1e308))
+
     def test_c_interval_below_floor(self):
         with pytest.raises(UsageError, match="extend above"):
             fit_dispersion(list(XS), list(XS), c_interval=(-5.0, -1.0))

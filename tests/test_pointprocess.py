@@ -1,11 +1,13 @@
 """Point-pattern simulators, torus geometry, quadrat counts, correlation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import squareform
 
 from taylorlaw import (
     DegenerateDesignError,
@@ -20,14 +22,13 @@ from taylorlaw import (
     derive_seed,
     estimate_pcf,
     fit_pcf,
-    pairwise_torus_distances,
     quadrat_counts,
     simulate_hardcore,
     simulate_poisson,
     simulate_thomas,
     taylor_experiment,
 )
-from conftest import torus_distance
+from conftest import pairwise_torus_distances, torus_distance
 
 _unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 _point = st.tuples(_unit, _unit)
@@ -121,38 +122,33 @@ class TestSimulators:
             assert simulate_hardcore(300.0, 0.05, seed).n < 300 * 0.7
 
     def test_hardcore_is_matern_type_ii_thinning(self):
-        # Redraw the simulator's proposals and marks, then thin them by brute
-        # force: type II kills a proposal when any proposal within r, dead or
-        # alive, has a smaller mark. Sequential inhibition, which keeps
-        # proposals in arrival order unless an accepted one lies within r,
-        # keeps more points and must differ on at least one seed.
-        intensity, r = 60.0, 0.15
-        differs = False
-        for seed in range(4):
+        # Redraw the simulator's proposals and marks, then thin them by the
+        # dense rule over all pairs: type II kills a proposal when any
+        # proposal within r, dead or alive, has a smaller mark. Sequential
+        # inhibition, which keeps proposals in arrival order unless an
+        # accepted one lies within r, keeps more points and must differ on at
+        # least one seed. 600 proposals spread over many leaves of the tree.
+        def check(intensity, r, seed):
             rng = np.random.default_rng(seed)
             proposals = rng.random((rng.poisson(intensity), 2))
             marks = rng.random(len(proposals))
-            near = [
-                [
-                    j
-                    for j in range(len(proposals))
-                    if j != i and torus_distance(proposals[i], proposals[j]) < r
-                ]
-                for i in range(len(proposals))
-            ]
-            type_ii = [
-                i
-                for i in range(len(proposals))
-                if all(marks[j] > marks[i] for j in near[i])
-            ]
-            sequential: list[int] = []
+            dist = squareform(pairwise_torus_distances(proposals))
+            near = dist < r
+            np.fill_diagonal(near, False)
+            type_ii = ~(near & (marks[None, :] < marks[:, None])).any(axis=1)
+            sequential = np.zeros(len(proposals), dtype=bool)
             for i in range(len(proposals)):
-                if not any(j in near[i] for j in sequential):
-                    sequential.append(i)
+                sequential[i] = not (near[i] & sequential).any()
             pattern = simulate_hardcore(intensity, r, seed)
             np.testing.assert_array_equal(pattern.points, proposals[type_ii])
-            differs |= sequential != type_ii
-        assert differs
+            return not np.array_equal(sequential, type_ii), dist
+
+        for intensity, r in [(60, 0.15), (600, 0.02), (600, 0.15), (600, 0.49)]:
+            assert any([check(intensity, r, seed)[0] for seed in range(4)]), r
+        # A pair exactly r apart is not close: take r from the pair distances.
+        dist = np.unique(check(600.0, 0.02, 0)[1])
+        for r in dist[[10, 30, 100, 300, 1000]]:
+            check(600.0, float(r), 0)
 
     def test_huge_radius_packs_to_a_handful(self):
         # Pairwise separation 0.49 leaves room for very few survivors.
@@ -164,10 +160,56 @@ class TestSimulators:
             simulate_poisson(0.0, 1)
         with pytest.raises(DomainError):
             simulate_thomas(20.0, 10.0, 0.0, 1)
+        for sigma in (math.inf, math.nan, 1e308):
+            with pytest.raises(DomainError, match="sigma"):
+                simulate_thomas(20.0, 10.0, sigma, 1)
         with pytest.raises(DomainError):
             simulate_hardcore(100.0, 0.5, 1)
         with pytest.raises(DomainError):
             simulate_hardcore(100.0, 0.0, 1)
+
+    # Every size here is rejected before anything is drawn or allocated.
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: simulate_poisson(1e20, 0),
+            lambda: simulate_poisson(math.inf, 0),
+            lambda: simulate_thomas(1e8, 1.0, 0.02, 0),
+            lambda: simulate_thomas(20.0, math.inf, 0.02, 0),
+            lambda: simulate_thomas(1e-20, 1e20, 0.02, 0),
+            lambda: simulate_thomas(2e3, 1e4, 0.02, 0),
+            lambda: simulate_hardcore(1e19, 0.02, 0),
+            lambda: quadrat_counts(simulate_poisson(10.0, 0), 100_000),
+            lambda: taylor_experiment("poisson_sweep", [50], 10**7, 16, 0),
+            lambda: estimate_pcf(simulate_poisson(10.0, 0), 1e-9, 0.25),
+            lambda: estimate_pcf(simulate_poisson(10.0, 0), 5e-324, 0.25),
+        ],
+    )
+    def test_sizes_above_the_limit_are_usage_errors(self, make):
+        with pytest.raises(UsageError, match="exceed the limit of 1e"):
+            make()
+
+    def test_too_many_close_pairs_is_a_usage_error(self):
+        # 4500 coincident points make 10,122,750 pairs: counted, never listed.
+        crowd = PointPattern(np.full((4500, 2), 0.5), "manual", 0)
+        with pytest.raises(UsageError, match="close pairs"):
+            estimate_pcf(crowd, 0.01, 0.25)
+
+    def test_close_pair_search_memory_grows_with_pairs_not_n_squared(self):
+        # tracemalloc sees numpy buffers. The dense all-pairs searches this
+        # replaced peaked near 770 MB and 500 MB on these two calls.
+        pattern = simulate_poisson(4000.0, 2)
+        tracemalloc.start()
+        try:
+            simulate_hardcore(4000.0, 0.02, 1)
+            hardcore_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            estimate_pcf(pattern, 0.01, 0.25)
+            pcf_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hardcore_peak < 20e6
+        assert pcf_peak < 150e6
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "7", True])
     def test_seed_validation(self, seed):
@@ -304,6 +346,22 @@ class TestTaylorExperiment:
             taylor_experiment(**args)
 
 
+def lattice(k):
+    """k*k grid of spacing 1/k: many pairs lie exactly on ring edges."""
+    ticks = np.arange(k) / k
+    return np.array([(x, y) for x in ticks for y in ticks])
+
+
+def brute_force_g(points, w, r_max):
+    """Ring estimate from every pair, in half-open rings [k*w, (k+1)*w)."""
+    n = len(points)
+    n_bins = min(math.floor(r_max / w + 1e-12), math.floor((0.5 + 1e-12) / w))
+    idx = np.floor(pairwise_torus_distances(points) / w).astype(np.int64)
+    raw = np.bincount(idx[idx < n_bins], minlength=n_bins)
+    centers = (np.arange(n_bins) + 0.5) * w
+    return raw / (n * (n - 1) / 2.0 * 2.0 * math.pi * centers * w)
+
+
 class TestEstimatePcf:
     def test_two_point_pattern_lands_in_one_ring(self):
         # The only pair sits at distance 0.105, inside ring [0.10, 0.11),
@@ -317,6 +375,39 @@ class TestEstimatePcf:
         assert est.g[10] == pytest.approx(
             1.0 / (2 * math.pi * 0.105 * 0.01), rel=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "points,w,r_max",
+        [
+            (np.array([[0.0, 0.0], [0.25, 0.0]]), 0.01, 0.25),
+            (np.array([[0.1, 0.9], [0.1, 0.15]]), 0.05, 0.25),
+            (np.array([[0.3, 0.3], [0.3, np.nextafter(0.55, 1.0)]]), 0.05, 0.25),
+            (np.array([[0.0, 0.0], [0.5, 0.0]]), 0.1, 0.4999999999),
+            # The tree puts this pair just beyond 14 * 0.0198 unless its
+            # radius is widened, yet the pair belongs to the last ring.
+            (
+                np.array(
+                    [
+                        [0.07577379498465642, 0.9170775304514804],
+                        [0.15818577362512692, 0.6524115035863713],
+                    ]
+                ),
+                0.0198,
+                0.292,
+            ),
+            (lattice(10), 0.1, 0.4999999999),
+            (lattice(20), 0.05, 0.25),
+            (lattice(40), 0.025, 0.49999999),
+            (lattice(40), 0.01, 0.3),
+            (simulate_poisson(900.0, 3).points, 0.01, 0.25),
+            (simulate_poisson(900.0, 4).points, 0.07, 0.4999999999),
+            (simulate_thomas(20.0, 15.0, 0.01, 5).points, 0.01, 0.25),
+            (simulate_hardcore(600.0, 0.03, 6).points, 0.03, 0.49),
+        ],
+    )
+    def test_matches_brute_force_binning(self, points, w, r_max):
+        est = estimate_pcf(PointPattern(points, "manual", 0), w, r_max)
+        np.testing.assert_array_equal(est.g, brute_force_g(points, w, r_max))
 
     def test_rings_never_leave_the_half_width(self):
         pattern = simulate_poisson(100.0, 4)
