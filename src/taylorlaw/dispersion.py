@@ -86,6 +86,21 @@ def _inner_solve(
     return coef, float(resid @ resid), int(rank)
 
 
+def _largest_finite_c(x_top: float, lo: float, hi: float) -> float:
+    """Largest c in [lo, hi] with x_top**c finite, given x_top**lo finite.
+
+    Starts from log(max float) / log(x_top) and steps by single ulps, since
+    rounding can leave that estimate a few ulps to either side. Call under
+    ``np.errstate(over="ignore")``.
+    """
+    c = min(hi, math.log(np.finfo(float).max) / math.log(x_top))
+    while np.isinf(np.power(x_top, c)):
+        c = math.nextafter(c, lo)
+    while c < hi and np.isfinite(np.power(x_top, math.nextafter(c, hi))):
+        c = math.nextafter(c, hi)
+    return c
+
+
 def fit_dispersion(
     xs: list[float],
     ns: list[float],
@@ -98,7 +113,8 @@ def fit_dispersion(
     (a, b, d) are always the exact linear least-squares solution at the
     current c. The interval's lower end is open: values at or below 0 are
     clipped to 1e-6, below which x^c is indistinguishable from the
-    intercept anyway.
+    intercept anyway. An upper end at which max(x)^c overflows is lowered
+    to the largest c for which it is finite.
     """
     if len(xs) != len(ns):
         raise UsageError(
@@ -124,10 +140,14 @@ def fit_dispersion(
     lo = max(lo, _C_FLOOR)
     if not hi > lo:
         raise UsageError(f"c interval must extend above {_C_FLOOR}")
-    # x**c is monotone in c: if any c in the interval overflows, the upper end does.
+    # x**c grows with x > 1 and c, so only the largest x can overflow; where
+    # it does inside the interval, the search ends at the last finite c.
+    x_top = float(x.max())
     with np.errstate(over="ignore"):
-        if np.isinf(np.power(x, hi)).any():
-            raise DegenerateDesignError(f"degenerate design: x**c overflows at c = {hi:g}")
+        if np.isinf(np.power(x_top, lo)):
+            raise DegenerateDesignError(f"degenerate design: x**c overflows at c = {lo:g}")
+        if np.isinf(np.power(x_top, hi)):
+            hi = _largest_finite_c(x_top, lo, hi)
 
     log_x = np.log(x)
     log_n = np.log(n)

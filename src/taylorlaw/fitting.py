@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import betainc
 
 from .errors import (
     DegenerateDesignError,
@@ -143,10 +142,21 @@ def fit_log_ols(series: MVSeries, min_pairs: int = 3) -> PowerLawFit:
     if np.all(x == x[0]):
         raise DegenerateDesignError("degenerate design: all retained means are equal")
     line = _ols_line(x, y)
+    # Means equal but for rounding give a near-vertical line whose
+    # intercept can leave the range where exp is a positive float.
+    try:
+        a = math.exp(line.intercept)
+    except OverflowError:
+        a = math.inf
+    if not 0.0 < a < math.inf:
+        raise DegenerateDesignError(
+            f"degenerate design: coefficient a = exp({line.intercept:.6g}) "
+            "is outside the float range"
+        )
     n = len(used)
     sigma2 = line.rss / (n - 2)
     return PowerLawFit(
-        a=math.exp(line.intercept),
+        a=a,
         b=line.slope,
         se_ln_a=math.sqrt(sigma2 * (1.0 / n + line.xbar**2 / line.sxx)),
         se_b=math.sqrt(sigma2 / line.sxx),
@@ -159,9 +169,8 @@ def fit_log_ols(series: MVSeries, min_pairs: int = 3) -> PowerLawFit:
 
 
 def _nls_objective(a: float, b: float, m: np.ndarray, v: np.ndarray) -> float:
-    with np.errstate(over="ignore", invalid="ignore"):
-        resid = v - a * np.power(m, b)
-        return float(resid @ resid)
+    resid = v - a * np.power(m, b)
+    return float(resid @ resid)
 
 
 def fit_nls(
@@ -198,40 +207,42 @@ def fit_nls(
         except (InsufficientDataError, DegenerateDesignError):
             a, b = 1.0, 1.0
 
-    lam = 1e-3
-    obj = _nls_objective(a, b, m, v)
     converged = False
     log_m = np.log(m)
-    for _ in range(max_iter):
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = 1e-3
+        obj = _nls_objective(a, b, m, v)
+        for _ in range(max_iter):
             model = a * np.power(m, b)
             resid = v - model
             jac = np.column_stack([model / a, model * log_m])
             jtj = jac.T @ jac
             jtr = jac.T @ resid
-        if not (np.all(np.isfinite(jtj)) and np.all(np.isfinite(jtr))):
-            break
-        damped = jtj + lam * np.diag(np.maximum(np.diag(jtj), 1e-300))
-        try:
-            step = np.linalg.solve(damped, jtr)
-        except np.linalg.LinAlgError:
-            lam *= 10.0
-            continue
-        cand_a, cand_b = a + step[0], b + step[1]
-        cand_obj = (
-            _nls_objective(cand_a, cand_b, m, v) if cand_a > 0 else math.inf
-        )
-        if math.isfinite(cand_obj) and cand_obj <= obj:
-            decrease = obj - cand_obj
-            a, b, obj = float(cand_a), float(cand_b), cand_obj
-            lam = max(lam / 10.0, 1e-15)
-            if decrease <= tol * max(obj + decrease, 1e-300):
-                converged = True
+            if not (np.all(np.isfinite(jtj)) and np.all(np.isfinite(jtr))):
                 break
-        else:
-            lam *= 10.0
-            if lam > 1e15:
-                break
+            damped = jtj.copy()
+            damped[0, 0] += lam * max(jtj[0, 0], 1e-300)
+            damped[1, 1] += lam * max(jtj[1, 1], 1e-300)
+            try:
+                step = np.linalg.solve(damped, jtr)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            cand_a, cand_b = a + step[0], b + step[1]
+            cand_obj = (
+                _nls_objective(cand_a, cand_b, m, v) if cand_a > 0 else math.inf
+            )
+            if math.isfinite(cand_obj) and cand_obj <= obj:
+                decrease = obj - cand_obj
+                a, b, obj = float(cand_a), float(cand_b), cand_obj
+                lam = max(lam / 10.0, 1e-15)
+                if decrease <= tol * max(obj + decrease, 1e-300):
+                    converged = True
+                    break
+            else:
+                lam *= 10.0
+                if lam > 1e15:
+                    break
 
     model = a * np.power(m, b)
     resid = v - model
@@ -331,6 +342,8 @@ def t_tail_probability(t: float, dof: int) -> float:
         raise DomainError("t statistic must be finite")
     if t == 0.0:
         return 1.0
+    from scipy.special import betainc  # not at module load: it takes ~0.3 s
+
     x = dof / (dof + t * t)
     p = float(betainc(dof / 2.0, 0.5, x))
     return min(1.0, max(p, 5e-324))

@@ -1,9 +1,12 @@
 """Shared fixtures: exact power-law data, small reference tables, oracles."""
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
+import taylorlaw
 from taylorlaw import MVPair, MVSeries
 
 # Integer rows whose sample statistics hit V = 2*M^1.5 exactly:
@@ -15,6 +18,22 @@ s2,0,0,4,8,8
 s3,0,16,16,16,32
 s4,32,32,64,96,96
 """
+
+# One species that fits the decay law and one with a zero count.
+LOCATION_CSV = (
+    "species,near,mid,far,edge,outer\n"
+    "distance,0.5,1,2,4,8\n"
+    "decayer,120,60,25,9,2\n"
+    "vanisher,10,0,1,1,1\n"
+)
+
+
+def child_env() -> dict[str, str]:
+    """Environment for a Python child process that imports the taylorlaw this
+    process imported, installed or not."""
+    src = str(Path(taylorlaw.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def exact_series(ms=(1.0, 4.0, 16.0, 64.0), a=2.0, b=1.5) -> MVSeries:

@@ -7,19 +7,16 @@ scorecard. Stated runtime ceilings are asserted with wall-clock timing.
 
 import functools
 import math
-import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import EXACT_TABLE_CSV, exact_series, synthetic_longitudinal
+from conftest import EXACT_TABLE_CSV, child_env, exact_series, synthetic_longitudinal
 
-import taylorlaw
 from taylorlaw import (
     Scheme,
     classify,
@@ -285,10 +282,7 @@ def test_criterion_09_cli_determinism(tmp_path):
             "subjects_across_species",
         ],
     ]
-    # The children import the taylorlaw this process imported, installed or not.
-    src = str(Path(taylorlaw.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    env = child_env()
     identical = []
     for argv in commands:
         runs = [

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EXACT_TABLE_CSV, synthetic_longitudinal
+from conftest import EXACT_TABLE_CSV, LOCATION_CSV, synthetic_longitudinal
 from taylorlaw import (
     MVPair,
     MVSeries,
@@ -19,13 +19,7 @@ from taylorlaw import (
     pacd_from_params,
 )
 from taylorlaw.cli import RunConfig, build_fit_report, main, render_report
-
-LOCATION_CSV = (
-    "species,near,mid,far,edge,outer\n"
-    "distance,0.5,1,2,4,8\n"
-    "decayer,120,60,25,9,2\n"
-    "vanisher,10,0,1,1,1\n"
-)
+from taylorlaw.extraction import SCHEME_TAGS
 
 
 @pytest.fixture
@@ -628,6 +622,21 @@ class TestHostileInput:
         assert err.count("\n") == 1
         assert err.startswith("error: pair 'x': ")
 
+    def test_normalized_row_means_give_a_degenerate_design(self, capsys, tmp_path):
+        # Every normalized row has mean 1/4 up to rounding, so ln a = -5.6e14.
+        path = tmp_path / "rows.csv"
+        path.write_text(
+            "subject_id,s0,s1,s2,s3\nr0,3,12,40,12\nr1,7,3,12,7\nr2,2,7,0,12\n"
+            "r3,12,40,12,2\n"
+        )
+        argv = ["pacd", "--scheme", "subjects_across_species", "--normalize"]
+        rc, out, err = run_hostile(capsys, [*argv, "--input", str(path)])
+        assert (rc, out) == (2, "")
+        assert err == (
+            "error: degenerate design: coefficient a = exp(-5.58553e+14) "
+            "is outside the float range\n"
+        )
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -672,16 +681,7 @@ class TestHostileInput:
 
     @pytest.mark.parametrize(
         "c_high,status,message",
-        [
-            ("inf", 1, "c interval must have finite ends and positive width"),
-            # 'decayer' overflows 8**c; 'vanisher' has a zero count.
-            (
-                "1e308",
-                2,
-                "no species could be fitted; first error: "
-                "degenerate design: x**c overflows at c = 1e+308",
-            ),
-        ],
+        [("inf", 1, "c interval must have finite ends and positive width")],
     )
     def test_unbounded_c_interval(self, capsys, tmp_path, c_high, status, message):
         path = tmp_path / "loc.csv"
@@ -690,6 +690,23 @@ class TestHostileInput:
             capsys, ["fit-dispersion", "--input", str(path), "--c-high", c_high]
         )
         assert (rc, out, err) == (status, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("c_high", ["342", "1e308"])
+    def test_c_high_past_overflow_ends_the_search(self, capsys, tmp_path, c_high):
+        # 8**c overflows above c = 341.33, far above decayer's minimum.
+        path = tmp_path / "loc.csv"
+        path.write_text(LOCATION_CSV)
+        fits = {}
+        for high in ("341", c_high):
+            rc, out, err = run_hostile(
+                capsys, ["fit-dispersion", "--input", str(path), "--c-high", high]
+            )
+            assert (rc, err) == (0, "")
+            fits[high] = json.loads(out)["fits"]
+        assert fits[c_high]["decayer"]["c"] == pytest.approx(
+            fits["341"]["decayer"]["c"], abs=1e-6
+        )
+        assert "error" in fits[c_high]["vanisher"]
 
 
 # One value of each hostile class for the numeric flags: negative, zero,
@@ -741,6 +758,31 @@ def _hostile_argv(draw, command):
     return argv
 
 
+def assert_clean_exit(argv):
+    """Run ``main`` in process with every warning an error: exit 0, 1 or 2,
+    no traceback, and a failure prints one ``error:`` line and no report."""
+    out, err = io.StringIO(), io.StringIO()
+    with (
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+        warnings.catch_warnings(),
+    ):
+        warnings.simplefilter("error")
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    text = err.getvalue()
+    assert rc in (0, 1, 2), (argv, text)
+    assert "Traceback" not in text, argv
+    if rc == 0:
+        assert text == "", argv
+    else:
+        error_lines = [line for line in text.splitlines() if "error:" in line]
+        assert len(error_lines) == 1, (argv, text)
+        assert out.getvalue() == "", argv
+
+
 @pytest.fixture(scope="module")
 def location_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "loc.csv"
@@ -761,26 +803,102 @@ class TestHostileFlagFuzz:
         def run(argv):
             if command == "fit-dispersion":
                 argv = [*argv, "--input", location_csv]
-            out, err = io.StringIO(), io.StringIO()
-            with (
-                contextlib.redirect_stdout(out),
-                contextlib.redirect_stderr(err),
-                warnings.catch_warnings(),
-            ):
-                warnings.simplefilter("error")
-                try:
-                    rc = main(argv)
-                except SystemExit as exc:
-                    rc = exc.code
-            text = err.getvalue()
-            assert rc in (0, 1, 2), (argv, text)
-            assert "Traceback" not in text, argv
-            if rc == 0:
-                assert text == "", argv
-            else:
-                error_lines = [line for line in text.splitlines() if "error:" in line]
-                assert len(error_lines) == 1, (argv, text)
-                assert out.getvalue() == "", argv
+            assert_clean_exit(argv)
+
+        run()
+
+
+# Generated tables start from well-formed counts, so that most reach the
+# fits, and then take a few hostile edits each.
+_LEADS = {
+    "cross-sectional": ["subject_id"],
+    "longitudinal": ["subject_id", "time"],
+    "location": ["species"],
+}
+_COUNTS = ["0", "1", "2", "3", "7", "12", "40"]
+_BAD_CELLS = ["1e200", "-1", "NA", "nan", "inf", "", "x"]
+_SUBJECTS = ["a", "b"]
+_TIMES = ["0", "1", "2", "3"]
+_BAD_TIMES = ["-1", "2021-01-01", "x", ""]
+_DISTANCES = ["0.5", "1", "2", "4", "8", "16"]
+_BAD_DISTANCES = ["0", "-1", "inf", "x", "1"]
+_BAD_NAMES = ["id", "time", "s0", "distance", ""]
+
+
+def _one_in(n):
+    return st.sampled_from(range(n)).map(lambda k: k == 0)
+
+
+@st.composite
+def _hostile_table(draw):
+    layout = draw(st.sampled_from(list(_LEADS)))
+    n_cols = draw(st.sampled_from(range(1, 7)))
+    rows = [_LEADS[layout] + [f"s{j}" for j in range(n_cols)]]
+    if layout == "location" and draw(st.booleans()):
+        rows.append(["distance", *_DISTANCES[:n_cols]])
+    for i in range(draw(st.sampled_from(range(8)))):
+        if layout == "longitudinal":
+            row = [draw(st.sampled_from(_SUBJECTS)), _TIMES[i % len(_TIMES)]]
+        else:
+            row = [f"r{i}"]
+        rows.append(row + [draw(st.sampled_from(_COUNTS)) for _ in range(n_cols)])
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 1, 2, 3]))):
+        edit = draw(st.sampled_from(["cell", "time", "distance", "id", "ragged", "header"]))
+        r = {"header": 0, "distance": min(1, len(rows) - 1)}.get(edit)
+        if r is None:
+            r = draw(st.sampled_from(range(len(rows))))
+        c = draw(st.sampled_from(range(len(rows[r]))))
+        if edit in ("cell", "header", "distance"):
+            if edit == "distance" and rows[r][0] != "distance":
+                continue
+            pool = {"cell": _BAD_CELLS, "header": _BAD_NAMES, "distance": _BAD_DISTANCES}
+            rows[r][c] = draw(st.sampled_from(pool[edit]))
+        elif edit == "time" and layout == "longitudinal" and r > 0:
+            rows[r][1] = draw(st.sampled_from(_BAD_TIMES))
+        elif edit == "id":
+            rows[r][0] = rows[-1][0]
+        elif edit == "ragged":
+            short = len(rows[r]) > 1 and draw(st.booleans())
+            rows[r] = rows[r][:-1] if short else [*rows[r], "1"]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    data = "".join(",".join(row) + newline for row in rows).encode()
+    if draw(_one_in(10)):
+        at = draw(st.sampled_from(range(len(data) + 1)))
+        data = data[:at] + b"\xff" + data[at:]
+    return layout, data
+
+
+@st.composite
+def _table_argv(draw, layout):
+    # Mostly the command that reads this layout, sometimes another.
+    dispersion = (layout == "location") != draw(_one_in(10))
+    if dispersion:
+        return ["fit-dispersion", *draw(st.sampled_from([[], ["--format", "csv"]]))]
+    argv = [draw(st.sampled_from(["fit-taylor", "classify", "pacd"]))]
+    scheme = draw(st.sampled_from(SCHEME_TAGS))
+    argv += ["--scheme", scheme]
+    if scheme in ("per_subject_time", "per_subject_species"):
+        argv += ["--subject", draw(st.sampled_from([*_SUBJECTS, "all"]))]
+    argv += draw(st.sampled_from([[], ["--method", "nls"]]))
+    argv += draw(st.sampled_from([[], ["--normalize"]]))
+    argv += draw(st.sampled_from([[], ["--format", "csv"]]))
+    return argv
+
+
+class TestHostileTableFuzz:
+    """Generated table bytes in every layout, through every table command,
+    exit 0, 1 or 2 without a traceback, with one ``error:`` line on failure."""
+
+    def test_table_bytes(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "table.csv"
+
+        @settings(max_examples=200, deadline=None)
+        @given(st.data())
+        def run(data):
+            layout, table = data.draw(_hostile_table())
+            path.write_bytes(table)
+            argv = data.draw(_table_argv(layout))
+            assert_clean_exit([*argv, "--input", str(path)])
 
         run()
 

@@ -19,6 +19,7 @@ from taylorlaw import (
     fit_dispersion,
     predict_dispersion,
 )
+from taylorlaw.dispersion import _C_FLOOR, _largest_finite_c
 
 XS = np.geomspace(0.5, 6.0, 20)
 
@@ -78,6 +79,16 @@ class TestDispersionFit:
         resid = np.log(ns) - (fit.a + fit.b * XS**fit.c + fit.d * np.log(XS))
         assert float(resid @ resid) == pytest.approx(fit.rss_log, rel=1e-9)
 
+    # The log-ratio estimate overshoots for 8 and undershoots for 2.40192...
+    @pytest.mark.parametrize(
+        "x_top", [1 + 2**-52, 1.0000001, 1.5, 2.4019297414660867, 8.0, 1e300]
+    )
+    def test_search_end_is_the_last_finite_c(self, x_top):
+        with np.errstate(over="ignore"):
+            c = _largest_finite_c(x_top, _C_FLOOR, 1e308)
+            assert np.isfinite(np.power(x_top, c))
+            assert np.isinf(np.power(x_top, math.nextafter(c, math.inf)))
+
 
 class TestDispersionErrors:
     def test_non_positive_distance(self):
@@ -112,10 +123,10 @@ class TestDispersionErrors:
             fit_dispersion(list(XS), list(XS), c_interval=c_interval)
 
     def test_overflowing_x_to_the_c_names_c(self):
-        # 6**c overflows for c above about 396, well inside the interval.
-        message = r"x\*\*c overflows at c = 1e\+308"
+        # 6**c overflows for c above about 396, so the low end already does.
+        message = r"x\*\*c overflows at c = 400$"
         with pytest.raises(DegenerateDesignError, match=message):
-            fit_dispersion(list(XS), list(XS), c_interval=(0.0, 1e308))
+            fit_dispersion(list(XS), list(XS), c_interval=(400.0, 500.0))
 
     def test_c_interval_below_floor(self):
         with pytest.raises(UsageError, match="extend above"):

@@ -132,6 +132,15 @@ class TestLogOls:
         with pytest.raises(DegenerateDesignError, match="all retained means"):
             fit_log_ols(series_of((4, 2), (4, 16), (4, 128)))
 
+    @pytest.mark.parametrize("variances", [(1, 2, 3), (3, 2, 1)])
+    def test_means_equal_but_for_rounding_degenerate(self, variances):
+        # One ulp apart, the means give a slope near 1e16 and an intercept
+        # whose exp overflows (or underflows, for falling variances).
+        m1 = math.nextafter(0.25, 1.0)
+        means = (0.25, m1, math.nextafter(m1, 1.0))
+        with pytest.raises(DegenerateDesignError, match="outside the float range"):
+            fit_log_ols(series_of(*zip(means, variances)))
+
     def test_matches_reference_regression_on_noisy_data(self):
         from scipy.stats import linregress
 
@@ -248,6 +257,94 @@ class TestNls:
         assert fit.b == pytest.approx(popt[1], rel=1e-4)
         assert fit.a * fit.se_ln_a == pytest.approx(ref_se[0], rel=1e-3)
         assert fit.se_b == pytest.approx(ref_se[1], rel=1e-3)
+
+
+def reference_nls_loop(series, init=None, max_iter=200, tol=1e-10):
+    """The Marquardt loop of ``fit_nls`` as first written: per-iteration
+    errstate and a damping matrix built with ``np.diag``. Returns (a, b,
+    converged) for a bit-for-bit comparison."""
+    kept = [p for p in series.pairs if p.mean > 0]
+    m = np.array([p.mean for p in kept])
+    v = np.array([p.variance for p in kept])
+    if init is not None:
+        a, b = float(init[0]), float(init[1])
+    else:
+        try:
+            start = fit_log_ols(series)
+            a, b = start.a, start.b
+        except (InsufficientDataError, DegenerateDesignError):
+            a, b = 1.0, 1.0
+
+    def objective(a, b):
+        with np.errstate(over="ignore", invalid="ignore"):
+            resid = v - a * np.power(m, b)
+            return float(resid @ resid)
+
+    lam = 1e-3
+    obj = objective(a, b)
+    converged = False
+    log_m = np.log(m)
+    for _ in range(max_iter):
+        with np.errstate(over="ignore", invalid="ignore"):
+            model = a * np.power(m, b)
+            resid = v - model
+            jac = np.column_stack([model / a, model * log_m])
+            jtj = jac.T @ jac
+            jtr = jac.T @ resid
+        if not (np.all(np.isfinite(jtj)) and np.all(np.isfinite(jtr))):
+            break
+        damped = jtj + lam * np.diag(np.maximum(np.diag(jtj), 1e-300))
+        try:
+            step = np.linalg.solve(damped, jtr)
+        except np.linalg.LinAlgError:
+            lam *= 10.0
+            continue
+        cand_a, cand_b = a + step[0], b + step[1]
+        cand_obj = objective(cand_a, cand_b) if cand_a > 0 else math.inf
+        if math.isfinite(cand_obj) and cand_obj <= obj:
+            decrease = obj - cand_obj
+            a, b, obj = float(cand_a), float(cand_b), cand_obj
+            lam = max(lam / 10.0, 1e-15)
+            if decrease <= tol * max(obj + decrease, 1e-300):
+                converged = True
+                break
+        else:
+            lam *= 10.0
+            if lam > 1e15:
+                break
+    return a, b, converged
+
+
+class TestNlsMatchesReferenceLoop:
+    def test_bit_for_bit_over_generated_series(self):
+        rng = np.random.default_rng(20261018)
+        unconverged = singular = 0
+        for case in range(300):
+            k = int(rng.integers(3, 9))
+            if case % 10 == 0:
+                ms = np.ones(k)  # ln M = 0: the standard errors hit LinAlgError
+            else:
+                ms = np.exp(rng.uniform(-4.0, 7.0, k))
+            vs = 1.7 * ms ** rng.uniform(0.5, 2.5) * rng.lognormal(0.0, 0.4, k)
+            vs[rng.random(k) < 0.1] = 0.0
+            series = series_of(*zip(ms.tolist(), vs.tolist()))
+            init = None
+            if case % 3 == 1:
+                init = (float(np.exp(rng.uniform(-15, 15))), float(rng.uniform(-6, 6)))
+            max_iter = int(rng.choice([1, 4, 200]))
+            fit = fit_nls(series, init=init, max_iter=max_iter)
+            a, b, converged = reference_nls_loop(series, init, max_iter)
+            # The standard errors and RSS follow from (a, b) alone.
+            tail = fit_nls(series, init=(a, b), max_iter=0)
+            assert (fit.a, fit.b, fit.converged) == (a, b, converged), case
+            assert (fit.se_ln_a, fit.se_b, fit.rss_raw) == (
+                tail.se_ln_a,
+                tail.se_b,
+                tail.rss_raw,
+            ), case
+            unconverged += not converged
+            singular += tail.se_b == 0.0
+        assert unconverged >= 30 and singular >= 30
 
 
 class TestCrossoverDensity:
