@@ -376,6 +376,23 @@ class TestPacdCommand:
         assert doc["pacd"]["defined"] is False
         assert doc["pacd"]["m0"] is None
 
+    def test_underflowing_crossover_is_undefined(self, capsys):
+        doc = run_json(capsys, ["pacd", "--a", "1e308", "--b", "1.0000001"])
+        assert doc["pacd"] == {
+            "m0": None,
+            "defined": False,
+            "reason": "crossover density underflows",
+        }
+
+    @pytest.mark.parametrize(
+        "a,b", [("inf", "2"), ("2", "nan"), ("2", "inf"), ("nan", "2")]
+    )
+    def test_non_finite_parameters_are_a_data_error(self, capsys, a, b):
+        assert main(["pacd", "--a", a, "--b", b]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: coefficient a")
+
     def test_fit_pipeline_mode(self, capsys, exact_csv):
         doc = run_json(
             capsys,
@@ -710,10 +727,11 @@ class TestHostileInput:
 
 
 # One value of each hostile class for the numeric flags: negative, zero,
-# not a number, infinite, above the size limit, and small valid ones kept
-# small enough that any mix of them runs fast.
+# not a number, infinite, above the size limit, small valid ones kept
+# small enough that any mix of them runs fast, and one just above 1 (a
+# pacd exponent that sends the crossover density out of the float range).
 _NUMBERS = ["-1", "-0.5", "0", "nan", "inf", "-inf", "2e7", "1e20", "1e308"]
-_NUMBERS += ["0.01", "0.3", "5", "60"]
+_NUMBERS += ["0.01", "0.3", "5", "60", "1.0000001"]
 _INTEGERS = ["-1", "0", "nan", "inf", "20000000", "1", "3", "12"]
 _GENERATOR_FLAGS = (
     "--intensity",
@@ -728,6 +746,7 @@ _FLOAT_FLAGS = {
     "pcf": _GENERATOR_FLAGS + ("--bin-width", "--r-max"),
     "experiment": ("--parent-intensity", "--sigma", "--hardcore-radius", "--alpha"),
     "fit-dispersion": ("--c-low", "--c-high"),
+    "pacd": ("--a", "--b"),
 }
 _INT_FLAGS = {
     "simulate": ("--seed",),
@@ -760,7 +779,8 @@ def _hostile_argv(draw, command):
 
 def assert_clean_exit(argv):
     """Run ``main`` in process with every warning an error: exit 0, 1 or 2,
-    no traceback, and a failure prints one ``error:`` line and no report."""
+    no traceback, and a failure prints one ``error:`` line and no report.
+    Returns the exit status and stdout."""
     out, err = io.StringIO(), io.StringIO()
     with (
         contextlib.redirect_stdout(out),
@@ -781,6 +801,7 @@ def assert_clean_exit(argv):
         error_lines = [line for line in text.splitlines() if "error:" in line]
         assert len(error_lines) == 1, (argv, text)
         assert out.getvalue() == "", argv
+    return rc, out.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -795,7 +816,7 @@ class TestHostileFlagFuzz:
     and a failure prints exactly one ``error:`` line."""
 
     @pytest.mark.parametrize(
-        "command", ["simulate", "pcf", "experiment", "fit-dispersion"]
+        "command", ["simulate", "pcf", "experiment", "fit-dispersion", "pacd"]
     )
     def test_numeric_flags(self, command, location_csv):
         @settings(max_examples=60, deadline=None)
@@ -803,7 +824,12 @@ class TestHostileFlagFuzz:
         def run(argv):
             if command == "fit-dispersion":
                 argv = [*argv, "--input", location_csv]
-            assert_clean_exit(argv)
+            rc, out = assert_clean_exit(argv)
+            if command == "pacd" and rc == 0:
+                crossover = json.loads(out)["pacd"]
+                m0 = crossover["m0"]
+                positive = m0 is not None and 0 < m0 < math.inf
+                assert crossover["defined"] is positive, (argv, out)
 
         run()
 

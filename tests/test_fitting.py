@@ -2,7 +2,8 @@
 
 The two-sided tail oracle here integrates the t density numerically with
 mpmath, a different route than the incomplete-beta identity used by the
-implementation, so agreement is evidence rather than tautology. The same
+implementation, so agreement is evidence rather than tautology; mpmath's
+own incomplete beta at 40 digits holds the implementation to 1e-12. The same
 dual-route idea backs the nonlinear fit: scipy's curve_fit serves as an
 independent check on the hand-rolled minimizer.
 """
@@ -32,6 +33,7 @@ from taylorlaw import (
     pacd_from_params,
     t_tail_probability,
 )
+from taylorlaw._fmt import sig12
 
 
 def two_sided_tail_by_quadrature(t: float, dof: int) -> float:
@@ -98,6 +100,53 @@ class TestTailProbability:
     )
     def test_monotone_in_magnitude(self, t, dof, bump):
         assert t_tail_probability(t + bump, dof) <= t_tail_probability(t, dof)
+
+
+def tail_grid(seed: int = 20120101) -> list[tuple[float, int]]:
+    """About 500 (t, dof) points: dof log-spaced over 1..10^4 with the
+    d.o.f. the benchmark's fits reach, |t| log-uniform from 1e-3 up to where
+    the tail reaches 1e-300, and both sides of each switch inside
+    ``t_tail_probability``."""
+    rng = np.random.default_rng(seed)
+    dofs = {int(round(10 ** (k / 6))) for k in range(25)} | {4, 18, 198, 2498}
+    points = []
+    for dof in sorted(dofs):
+        lo, hi = 0.0, 700.0  # ln|t| bracket of the 1e-300 tail
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            above = t_tail_probability(math.exp(mid), dof) > 1e-300
+            lo, hi = (mid, hi) if above else (lo, mid)
+        ln_t = rng.uniform(math.log(1e-3), lo, size=14)
+        points += [(float(math.exp(v)), dof) for v in ln_t]
+        # the series / continued-fraction switch, and u = t^2/dof = 1 where
+        # the tail is still above 1e-300
+        for u in (1.5 / (dof / 2 + 1), 1.0):
+            t = math.sqrt(u * dof)
+            if math.log(t) < lo:
+                points += [(t * (1 - 1e-9), dof), (t * (1 + 1e-9), dof)]
+    return points
+
+
+def tail_by_incomplete_beta(t: float, dof: int) -> mp.mpf:
+    """Oracle: I_x(dof/2, 1/2) at x = dof/(dof + t^2), at 40 digits."""
+    with mp.workdps(40):
+        nu = mp.mpf(dof)
+        x = nu / (nu + mp.mpf(t) ** 2)
+        return +mp.betainc(nu / 2, mp.mpf(1) / 2, 0, x, regularized=True)
+
+
+def test_tail_matches_mpmath_to_twelve_digits():
+    points = tail_grid()
+    worst, misprinted = 0.0, []
+    for t, dof in points:
+        expected = tail_by_incomplete_beta(t, dof)
+        got = t_tail_probability(t, dof)
+        worst = max(worst, float(abs(got - expected) / expected))
+        if sig12(got) != sig12(float(expected)):
+            misprinted.append((t, dof))
+    assert 480 <= len(points) <= 520
+    assert worst <= 1e-12
+    assert len(misprinted) <= 0.005 * len(points), misprinted
 
 
 class TestLogOls:
@@ -370,9 +419,22 @@ class TestCrossoverDensity:
         assert not result.defined
         assert "overflows" in result.reason
 
+    def test_underflowing_crossover_reported_not_raised(self):
+        result = pacd_from_params(1e308, 1.0000001)
+        assert (result.m0, result.defined) == (None, False)
+        assert result.reason == "crossover density underflows"
+
     def test_non_positive_coefficient_rejected(self):
         with pytest.raises(DomainError, match="must be positive"):
             pacd_from_params(0.0, 1.5)
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [(math.inf, 2.0), (2.0, math.nan), (2.0, math.inf), (2.0, -math.inf)],
+    )
+    def test_non_finite_parameters_rejected(self, a, b):
+        with pytest.raises(DomainError, match="must be finite"):
+            pacd_from_params(a, b)
 
     @settings(max_examples=100, deadline=None)
     @given(

@@ -1,8 +1,11 @@
-"""Start-up cost: scipy is loaded only by the code that needs it.
+"""Start-up cost: scipy is loaded only by the close-pair search.
 
 Each case runs in a fresh interpreter, because this process has scipy
-loaded already. The slope test's p-value loads ``scipy.special`` and the
-close-pair search loads ``scipy.spatial``; nothing else loads scipy.
+loaded already. The slope test's p-value is computed with ``math`` alone,
+so no command that classifies loads scipy. ``pcf`` and the hardcore
+generator search close pairs with ``scipy.spatial``; they load what
+``scipy.spatial`` loads on its own, which includes ``scipy.special`` in
+recent scipy releases, and nothing more.
 """
 
 import json
@@ -12,6 +15,7 @@ import sys
 import pytest
 
 from conftest import LOCATION_CSV, child_env, synthetic_longitudinal
+from taylorlaw.cli import COMMANDS
 
 # Runs ``main(argv)`` when argv is given, then prints the exit status and
 # the scipy modules loaded.
@@ -53,25 +57,80 @@ def inputs(tmp_path_factory):
     return root
 
 
-@pytest.mark.parametrize(
-    "argv,status",
-    [
-        (None, None),
-        (["pacd", "--a", "2", "--b", "1.5"], 0),
-        (["simulate", "--kind", "poisson"], 0),
-        (["fit-dispersion", "--input", "{root}/loc.csv"], 0),
-        (["simulate", "--kind", "brownian"], 1),
-    ],
-    ids=["import", "pacd-direct", "simulate-poisson", "fit-dispersion", "usage-error"],
-)
+_NOISY = ["--input", "{root}/noisy.csv"]
+_SPECIES = [*_NOISY, "--scheme", "species_across_subjects"]
+
+# (id, argv or None for a bare import, exit status). With _CLOSE_PAIRS
+# below, every command of the CLI is named at least once.
+_NO_SCIPY = [
+    ("import", None, None),
+    ("pacd-direct", ["pacd", "--a", "2", "--b", "1.5"], 0),
+    ("pacd-input", ["pacd", *_SPECIES], 0),
+    ("classify", ["classify", *_SPECIES], 0),
+    (
+        "fit-taylor-all-nls",
+        ["fit-taylor", *_NOISY, "--scheme", "per_subject_species"]
+        + ["--subject", "all", "--method", "nls"],
+        0,
+    ),
+    (
+        "experiment-poisson",
+        ["experiment", "--kind", "poisson_sweep", "--reps", "2"]
+        + ["--levels", "50,100,200"],
+        0,
+    ),
+    ("simulate-poisson", ["simulate", "--kind", "poisson"], 0),
+    ("fit-dispersion", ["fit-dispersion", "--input", "{root}/loc.csv"], 0),
+    ("usage-error", ["simulate", "--kind", "brownian"], 1),
+]
+_CLOSE_PAIRS = [
+    ("simulate-hardcore", ["simulate", "--kind", "hardcore"], 0),
+    ("pcf", ["pcf", "--kind", "poisson"], 0),
+]
+
+
+def _cases(table):
+    return pytest.mark.parametrize(
+        "argv,status", [case[1:] for case in table], ids=[case[0] for case in table]
+    )
+
+
+def _formatted(argv, root):
+    return None if argv is None else [arg.format(root=root) for arg in argv]
+
+
+def test_table_names_every_command():
+    named = {argv[0] for _, argv, _ in _NO_SCIPY + _CLOSE_PAIRS if argv}
+    assert named == set(COMMANDS)
+
+
+@_cases(_NO_SCIPY)
 def test_command_loads_no_scipy(inputs, argv, status):
-    if argv is not None:
-        argv = [arg.format(root=inputs) for arg in argv]
-    assert run_child(argv) == {"status": status, "scipy": []}
+    assert run_child(_formatted(argv, inputs)) == {"status": status, "scipy": []}
 
 
-def test_slope_test_loads_scipy_special(inputs):
-    argv = ["classify", "--input", f"{inputs}/noisy.csv"]
-    result = run_child([*argv, "--scheme", "species_across_subjects"])
-    assert result["status"] == 0
-    assert "scipy.special" in result["scipy"]
+@pytest.fixture(scope="module")
+def spatial_alone():
+    """The scipy modules ``from scipy.spatial import cKDTree`` loads by itself."""
+    code = (
+        "import json, sys; from scipy.spatial import cKDTree; print(json.dumps("
+        "sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        check=True,
+        env=child_env(),
+        text=True,
+    )
+    return json.loads(proc.stdout)
+
+
+@_cases(_CLOSE_PAIRS)
+def test_close_pair_search_loads_only_scipy_spatial(
+    inputs, spatial_alone, argv, status
+):
+    result = run_child(_formatted(argv, inputs))
+    assert result["status"] == status
+    assert "scipy.spatial" in result["scipy"]
+    assert result["scipy"] == spatial_alone
