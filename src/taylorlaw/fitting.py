@@ -357,24 +357,60 @@ def t_tail_probability(t: float, dof: int) -> float:
         return 1.0
     a = dof / 2.0
     ln_inv_beta = _ln_gamma_half_ratio(a) - _HALF_LN_PI  # -ln B(a, 1/2)
-    u = t * t / dof  # (1 - x) / x
+    u, u_lo = _square_over(t, dof)  # (1 - x) / x = u + u_lo
     if u <= 1.5 / (a + 1.0):  # x >= (a + 1) / (a + 5/2)
         # x^a (1-x)^(1/2) / B(a, 1/2) = u^(1/2) (1+u)^(-a-1/2) / B(a, 1/2)
         front = math.sqrt(u) * math.exp(ln_inv_beta - (a + 0.5) * math.log1p(u))
         p = 1.0 - 2.0 * front * _beta_half_series(a, u / (1.0 + u))
     else:
         # x^a (1-x)^(-1/2) / B(a, 1/2) = u^(-1/2) (1+u)^(1/2-a) / B(a, 1/2).
-        # From u = 1 on it is (|t|/sqrt(dof))^-dof (1+1/u)^(1/2-a) / B(a, 1/2),
-        # which holds where t*t overflows, and whose error grows with dof
-        # rather than with |ln p| (dof = 1 reaches p = 1e-300 at |t| = 6e299).
-        if u < 1.0:
-            front = math.exp(ln_inv_beta + (0.5 - a) * math.log1p(u)) / math.sqrt(u)
-        else:
-            front = (abs(t) / math.sqrt(dof)) ** -dof * math.exp(
-                ln_inv_beta + (0.5 - a) * math.log1p(1.0 / u)
+        # The exponent multiplies the rounding of 1 + u by a, so 1 + u is
+        # carried as two doubles and taken in to first order.
+        if abs(t) < 2.0**480:  # the splits in _square_over stay finite
+            s, s_lo = _two_sum(1.0, u)
+            s_lo += u_lo
+            front = s ** (0.5 - a) / math.sqrt(u) * (
+                1.0 + (0.5 - a) * s_lo / s - 0.5 * u_lo / u
             )
+        else:  # t*t overflows; dof = 1 reaches p = 1e-300 at |t| = 6e299
+            front = (abs(t) / math.sqrt(dof)) ** -dof
+        front *= math.exp(ln_inv_beta)
         p = front / (a * _gauss_fraction(a, 1.0 / u))
     return min(1.0, max(p, 5e-324))
+
+
+def _square_over(t: float, dof: int) -> tuple[float, float]:
+    """t^2/dof as the rounded quotient and the residual it leaves.
+
+    t*t is split exactly into its rounded value and error (Dekker's
+    product), and the residual of the division is exact too, so the sum
+    is good to about 1e-32 relative while |t| < 2^480.
+    """
+    square = t * t
+    u = square / dof
+    q = u * dof
+    residual = (square - q) - _product_error(u, dof, q) + _product_error(t, t, square)
+    return u, residual / dof
+
+
+def _two_sum(x: float, y: float) -> tuple[float, float]:
+    """x + y as the rounded sum and its exact error (Knuth's two-sum)."""
+    s = x + y
+    y_part = s - x
+    return s, (x - (s - y_part)) + (y - y_part)
+
+
+def _product_error(x: float, y: float, p: float) -> float:
+    """x*y - p exactly, where p is the rounded x*y (Dekker 1971): each
+    factor splits into two halves whose products are exact."""
+
+    def halves(v: float) -> tuple[float, float]:
+        c = 134217729.0 * v  # 2^27 + 1
+        high = c - (c - v)
+        return high, v - high
+
+    (x1, x2), (y1, y2) = halves(x), halves(y)
+    return ((x1 * y1 - p) + x1 * y2 + x2 * y1) + x2 * y2
 
 
 def _ln_gamma_half_ratio(a: float) -> float:

@@ -37,7 +37,8 @@ EXPERIMENT_KINDS = ("poisson_sweep", "thomas_cluster_sweep", "hardcore_sweep")
 PCF_FORMS = ("paper_form", "xi_form")
 
 _SEED_LIMIT = 2**64
-# Most points, quadrats, rings, pooled counts or pairs one call may ask for.
+# Most points, quadrats, rings, pooled counts, pairs or candidate pairs (of
+# one block) one call may ask for.
 _SIZE_LIMIT = 10**7
 
 
@@ -189,18 +190,71 @@ def _within_limit(what: str, size: float) -> float:
     return size
 
 
+# A cell and the 12 neighbour offsets (ox, oy) > (0, 0) within 2 cells: the
+# other 12 list the same pairs from the far cell.
+_HALF_NEIGHBOURHOOD = [(0, 0), (0, 1), (0, 2)] + [
+    (ox, oy) for ox in (1, 2) for oy in range(-2, 3)
+]
+
+
+def _torus_gap(u: np.ndarray, size: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Wraparound gap along one axis between each u[a], repeated ``size``
+    times, and u[b]."""
+    gap = np.abs(np.repeat(u, size) - u[b])
+    return np.minimum(gap, 1.0 - gap, out=gap)
+
+
 def _close_pairs(pts: np.ndarray, r: float) -> tuple[np.ndarray, ...]:
-    """Pairs i < j about ``r`` or less apart, with their exact torus distance."""
-    from scipy.spatial import cKDTree  # not at module load: it takes ~0.17 s
-    # The widening keeps the tree's own rounding from losing a pair at the edge.
-    r_tree = r * (1 + 1e-9)
-    tree = cKDTree(pts, boxsize=1.0)
-    # Count before listing: the list of a dense pattern can outgrow memory.
-    _within_limit("close pairs", (tree.count_neighbors(tree, r_tree) - len(pts)) / 2)
-    i, j = tree.query_pairs(r_tree, output_type="ndarray").T
-    d = np.abs(pts[i] - pts[j])
-    d = np.minimum(d, 1.0 - d)
-    return i, j, np.hypot(d[:, 0], d[:, 1])
+    """Pairs i < j about ``r`` or less apart, with their exact torus distance.
+
+    Linked cells (Allen & Tildesley, *Computer Simulation of Liquids*, 1987):
+    the points are binned into m-by-m periodic cells of side at least r/2,
+    so a close pair lies in one cell or in two cells at most 2 apart per
+    axis. Each offset of the half neighbourhood lists its candidates in one
+    block. With fewer than 5 cells per axis the offsets would alias, so one
+    cell holds every point and every pair is a candidate.
+    """
+    # The widening keeps rounding from losing a pair at the edge.
+    r = r * (1 + 1e-9)
+    n = len(pts)
+    # The cells are sized for a slightly larger radius still, which covers
+    # the rounding of x * m, and there are at most about 4n of them.
+    m = int(min(2.0 / (r * (1 + 1e-9)), math.isqrt(4 * n)))
+    m = m if m >= 5 else 1
+    # x < 1 keeps x * m below m.
+    cx = (pts[:, 0] * m).astype(np.int64)
+    cy = (pts[:, 1] * m).astype(np.int64)
+    cell = cx * m + cy
+    order = np.argsort(cell, kind="stable")
+    counts = np.bincount(cell, minlength=m * m)
+    x, y, cx, cy = pts[order, 0], pts[order, 1], cx[order], cy[order]
+    starts = np.cumsum(counts) - counts
+    here = np.arange(n)
+    # Squared distances prefilter the candidates; the floor keeps a radius
+    # whose square is subnormal from losing a pair to rounding.
+    r2 = max(r * r * (1 + 1e-9), 2.0**-1000)
+    found = []
+    listed = 0
+    for ox, oy in _HALF_NEIGHBOURHOOD if m > 1 else _HALF_NEIGHBOURHOOD[:1]:
+        nb = (cx + ox) % m * m + (cy + oy) % m
+        if ox == oy == 0:  # the later points of the same cell
+            first = here + 1
+            size = starts[nb] + counts[nb] - first
+        else:
+            first = starts[nb]
+            size = counts[nb]
+        # Count before listing: a dense pattern's candidates can outgrow memory.
+        total = _within_limit("candidate close pairs", int(size.sum()))
+        a = np.repeat(here, size)
+        b = np.arange(total) + np.repeat(first - (np.cumsum(size) - size), size)
+        dx, dy = _torus_gap(x, size, b), _torus_gap(y, size, b)
+        near = np.flatnonzero(dx * dx + dy * dy <= r2)
+        d = np.hypot(dx[near], dy[near])
+        close = d <= r
+        a, b = order[a[near[close]]], order[b[near[close]]]
+        listed = _within_limit("close pairs", listed + len(a))
+        found.append((np.minimum(a, b), np.maximum(a, b), d[close]))
+    return tuple(np.concatenate(part) for part in zip(*found))
 
 
 def simulate_poisson(intensity: float, seed: int) -> PointPattern:

@@ -149,6 +149,29 @@ def test_tail_matches_mpmath_to_twelve_digits():
     assert len(misprinted) <= 0.005 * len(points), misprinted
 
 
+
+@pytest.mark.parametrize(
+    "t,dof,printed",
+    [(27.03585040862433, 18, "5.01727954392e-16"), (2.40109, 4, "0.0742684809956")],
+)
+def test_power_form_prints_the_mpmath_digits(t, dof, printed):
+    # From t^2/dof = 1 on, the tail carries (t^2/dof)^(-dof/2); with t^2/dof
+    # rounded, the first point came out 10.8 ulps low and printed ...391e-16.
+    expected = tail_by_incomplete_beta(t, dof)
+    got = t_tail_probability(t, dof)
+    assert sig12(float(expected)) == sig12(got) == printed
+    assert abs(got - expected) / expected <= 1.5e-15  # a few ulps
+
+
+@pytest.mark.parametrize("dof", [1, 2])
+@pytest.mark.parametrize("ln2_t", [470, 479.9, 480, 499])
+def test_tail_where_t_squared_nears_overflow(ln2_t, dof):
+    # From |t| = 2^480 on the split products of t*t/dof could overflow, so
+    # the tail falls back to (|t|/sqrt(dof))^-dof.
+    t = 2.0**ln2_t
+    expected = tail_by_incomplete_beta(t, dof)
+    assert abs(t_tail_probability(t, dof) - expected) / expected <= 1e-14
+
 class TestLogOls:
     def test_three_exact_pairs(self):
         fit = fit_log_ols(series_of((1, 2), (4, 16), (16, 128)))

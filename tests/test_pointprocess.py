@@ -28,6 +28,7 @@ from taylorlaw import (
     simulate_thomas,
     taylor_experiment,
 )
+from taylorlaw.pointprocess import _close_pairs
 from conftest import pairwise_torus_distances, torus_distance
 
 _unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
@@ -69,6 +70,114 @@ class TestTorusMetric:
     def test_fewer_than_two_points(self):
         assert pairwise_torus_distances(np.empty((0, 2))).size == 0
         assert pairwise_torus_distances(np.array([[0.5, 0.5]])).size == 0
+
+
+def assert_close_pairs_match_oracle(points, r):
+    """The close-pair search lists exactly the pairs i < j that the all-pairs
+    oracle puts at most r (1 + 1e-9) apart, with the same distance bits.
+    Returns the number of pairs."""
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    i, j, d = _close_pairs(points, r)
+    order = np.lexsort((j, i))
+    want_d = pairwise_torus_distances(points)
+    want_i, want_j = np.triu_indices(len(points), k=1)
+    near = want_d <= r * (1 + 1e-9)
+    np.testing.assert_array_equal(i[order], want_i[near])
+    np.testing.assert_array_equal(j[order], want_j[near])
+    bits = np.int64
+    np.testing.assert_array_equal(d[order].view(bits), want_d[near].view(bits))
+    return int(near.sum())
+
+
+class TestClosePairs:
+    @pytest.mark.parametrize("k", [10, 16, 25])
+    def test_lattice_pairs_exactly_at_the_radius(self, k):
+        # Every radius is a lattice distance, so whole shells of pairs sit on it.
+        for steps in [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]:
+            r = math.hypot(*steps) / k
+            assert assert_close_pairs_match_oracle(lattice(k), r) >= k * k
+
+    @pytest.mark.parametrize(
+        "dx,dy,r",
+        [
+            (0.24475606623645962, 0.0008215500510444284, 0.24475744479835573),
+            (0.2188966339289832, 0.052696686180767706, 0.22515034305656348),
+            (
+                7.296554464299441e-162,
+                1.7565562060255903e-162,
+                7.505011435218785e-162,
+            ),
+        ],
+    )
+    def test_pair_on_the_widened_radius(self, dx, dy, r):
+        # hypot(dx, dy) is r (1 + 1e-9) to the bit, but dx**2 + dy**2 rounds
+        # above its square: the squared-distance prefilter needs its slack,
+        # and its floor where the squares are subnormal.
+        assert assert_close_pairs_match_oracle([[0.0, 0.0], [dx, dy]], r) == 1
+
+    def test_pair_across_a_rounded_cell_edge(self):
+        # With r widened to 1/3 exactly, 6 cells of side r/2 would fit, and
+        # 0.8333333333333333 * 6 rounds up to 5 while 0.49999999999999994 * 6
+        # stays below 3: three cells apart, yet 1/3 apart. Cells sized for a
+        # slightly wider radius keep this pair.
+        far = [[k / 10, 0.0] for k in range(10)]
+        points = [[0.49999999999999994, 0.5], [0.8333333333333333, 0.5], *far]
+        assert assert_close_pairs_match_oracle(points, 0.33333333299999995) >= 1
+
+    @pytest.mark.parametrize("m", [5, 6, 7, 10, 33, 50, 64])
+    def test_radius_where_the_cell_side_is_half_of_it(self, m):
+        # At r = 2/m, m cells of side exactly r/2 would fit across.
+        points = np.vstack([lattice(m), np.random.default_rng(m).random((400, 2))])
+        assert assert_close_pairs_match_oracle(points, 2.0 / m) > 0
+
+    @pytest.mark.parametrize("r", [0.003, 0.01, 0.1, 0.2, 0.3, 0.45])
+    def test_coordinates_next_to_one(self, r):
+        top = 1.0 - 2.0**-53
+        edge = [[top, 0.5], [0.0, 0.5], [top, top], [0.0, 0.0], [0.5, top], [top, 0.0]]
+        points = np.vstack([edge, np.random.default_rng(7).random((300, 2))])
+        points[300:] = np.where(points[300:] < 0.5, points[300:], top)
+        assert assert_close_pairs_match_oracle(points, r) >= 9
+
+    @pytest.mark.parametrize("r", [0.4000001, 0.41, 0.45, 0.49, 0.4999999])
+    def test_single_cell_band(self, r):
+        points = np.random.default_rng(11).random((300, 2))
+        assert assert_close_pairs_match_oracle(points, r) > 0
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("r", [1e-300, 0.01, 0.3, 0.49])
+    def test_fewest_points(self, n, r):
+        points = [[0.1, 0.2], [0.1 + r / 2, 0.2]][:n]
+        assert assert_close_pairs_match_oracle(points, r) == (n == 2)
+
+    @pytest.mark.parametrize("r", [1e-4, 0.01, 0.2])
+    def test_every_point_in_one_cell(self, r):
+        points = 0.3 + 1e-4 * np.random.default_rng(3).random((500, 2))
+        assert assert_close_pairs_match_oracle(points, r) > 0
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 1500),
+        r=st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True),
+        grid=st.sampled_from([0, 8, 20, 64]),
+    )
+    def test_matches_the_all_pairs_oracle(self, seed, n, r, grid):
+        points = np.random.default_rng(seed).random((n, 2))
+        if grid:  # ties: many pairs share a distance
+            points = np.floor(points * grid) / grid
+        assert_close_pairs_match_oracle(points, r)
+
+    def test_refuses_before_listing(self):
+        # 4500 coincident points: 10,122,750 candidates in one block.
+        crowd = np.full((4500, 2), 0.5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(UsageError, match="candidate close pairs"):
+                _close_pairs(crowd, 0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
 
 class TestSimulators:
@@ -127,7 +236,7 @@ class TestSimulators:
         # proposal within r, dead or alive, has a smaller mark. Sequential
         # inhibition, which keeps proposals in arrival order unless an
         # accepted one lies within r, keeps more points and must differ on at
-        # least one seed. 600 proposals spread over many leaves of the tree.
+        # least one seed. 600 proposals spread over many cells of the search.
         def check(intensity, r, seed):
             rng = np.random.default_rng(seed)
             proposals = rng.random((rng.poisson(intensity), 2))
@@ -383,8 +492,8 @@ class TestEstimatePcf:
             (np.array([[0.1, 0.9], [0.1, 0.15]]), 0.05, 0.25),
             (np.array([[0.3, 0.3], [0.3, np.nextafter(0.55, 1.0)]]), 0.05, 0.25),
             (np.array([[0.0, 0.0], [0.5, 0.0]]), 0.1, 0.4999999999),
-            # The tree puts this pair just beyond 14 * 0.0198 unless its
-            # radius is widened, yet the pair belongs to the last ring.
+            # The pair sits at 14 * 0.0198 to the bit, the search radius, yet
+            # belongs to the last ring; a kd-tree lost it unless widened.
             (
                 np.array(
                     [

@@ -1,11 +1,9 @@
-"""Start-up cost: scipy is loaded only by the close-pair search.
+"""Start-up cost: no command loads scipy, and none needs it installed.
 
 Each case runs in a fresh interpreter, because this process has scipy
-loaded already. The slope test's p-value is computed with ``math`` alone,
-so no command that classifies loads scipy. ``pcf`` and the hardcore
-generator search close pairs with ``scipy.spatial``; they load what
-``scipy.spatial`` loads on its own, which includes ``scipy.special`` in
-recent scipy releases, and nothing more.
+loaded already (the tests use it as an oracle). The slope test's p-value
+is computed with ``math`` alone and the close-pair search with numpy
+alone, so the runtime needs numpy and nothing else.
 """
 
 import json
@@ -60,9 +58,9 @@ def inputs(tmp_path_factory):
 _NOISY = ["--input", "{root}/noisy.csv"]
 _SPECIES = [*_NOISY, "--scheme", "species_across_subjects"]
 
-# (id, argv or None for a bare import, exit status). With _CLOSE_PAIRS
-# below, every command of the CLI is named at least once.
-_NO_SCIPY = [
+# (id, argv or None for a bare import, exit status); every command of the
+# CLI is named at least once.
+_COMMANDS = [
     ("import", None, None),
     ("pacd-direct", ["pacd", "--a", "2", "--b", "1.5"], 0),
     ("pacd-input", ["pacd", *_SPECIES], 0),
@@ -80,19 +78,11 @@ _NO_SCIPY = [
         0,
     ),
     ("simulate-poisson", ["simulate", "--kind", "poisson"], 0),
+    ("simulate-hardcore", ["simulate", "--kind", "hardcore"], 0),
+    ("pcf", ["pcf", "--kind", "poisson"], 0),
     ("fit-dispersion", ["fit-dispersion", "--input", "{root}/loc.csv"], 0),
     ("usage-error", ["simulate", "--kind", "brownian"], 1),
 ]
-_CLOSE_PAIRS = [
-    ("simulate-hardcore", ["simulate", "--kind", "hardcore"], 0),
-    ("pcf", ["pcf", "--kind", "poisson"], 0),
-]
-
-
-def _cases(table):
-    return pytest.mark.parametrize(
-        "argv,status", [case[1:] for case in table], ids=[case[0] for case in table]
-    )
 
 
 def _formatted(argv, root):
@@ -100,37 +90,52 @@ def _formatted(argv, root):
 
 
 def test_table_names_every_command():
-    named = {argv[0] for _, argv, _ in _NO_SCIPY + _CLOSE_PAIRS if argv}
+    named = {argv[0] for _, argv, _ in _COMMANDS if argv}
     assert named == set(COMMANDS)
 
 
-@_cases(_NO_SCIPY)
+@pytest.mark.parametrize(
+    "argv,status", [case[1:] for case in _COMMANDS], ids=[case[0] for case in _COMMANDS]
+)
 def test_command_loads_no_scipy(inputs, argv, status):
     assert run_child(_formatted(argv, inputs)) == {"status": status, "scipy": []}
 
 
-@pytest.fixture(scope="module")
-def spatial_alone():
-    """The scipy modules ``from scipy.spatial import cKDTree`` loads by itself."""
-    code = (
-        "import json, sys; from scipy.spatial import cKDTree; print(json.dumps("
-        "sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        check=True,
-        env=child_env(),
-        text=True,
-    )
-    return json.loads(proc.stdout)
+# Runs the CLI with every scipy import failing, as where only numpy is
+# installed.
+_WITHOUT_SCIPY = """
+import importlib.abc, runpy, sys
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"no module named {name!r}")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+runpy.run_module("taylorlaw", run_name="__main__", alter_sys=True)
+"""
 
 
-@_cases(_CLOSE_PAIRS)
-def test_close_pair_search_loads_only_scipy_spatial(
-    inputs, spatial_alone, argv, status
-):
-    result = run_child(_formatted(argv, inputs))
-    assert result["status"] == status
-    assert "scipy.spatial" in result["scipy"]
-    assert result["scipy"] == spatial_alone
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pcf", "--kind", "thomas"],
+        ["simulate", "--kind", "hardcore"],
+        ["experiment", "--kind", "hardcore_sweep", "--reps", "2"],
+    ],
+    ids=["pcf-thomas", "simulate-hardcore", "experiment-hardcore"],
+)
+def test_point_process_commands_run_without_scipy(argv):
+    def run(*prefix):
+        return subprocess.run(
+            [sys.executable, *prefix, *argv],
+            capture_output=True,
+            env=child_env(),
+            text=True,
+        )
+
+    blocked, plain = run("-c", _WITHOUT_SCIPY), run("-m", "taylorlaw")
+    assert (blocked.returncode, blocked.stderr) == (0, "")
+    assert plain.returncode == 0
+    assert blocked.stdout == plain.stdout
