@@ -27,11 +27,10 @@ from .errors import (
     InsufficientDataError,
     UsageError,
 )
+from .fitting import _profile_minimum
 
 _GRID_POINTS = 161
-_GOLDEN_TOL = 1e-8
 _C_FLOOR = 1e-6
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -156,37 +155,18 @@ def fit_dispersion(
     profile = np.array(
         [_inner_solve(log_x, x, log_n, c)[1] for c in grid]
     )
-    best = int(np.argmin(profile))
     flat = float(profile.max() - profile.min()) <= max(
         1e-6 * float(profile.min()), 1e-12
     )
 
-    a_br = grid[max(best - 1, 0)]
-    b_br = grid[min(best + 1, len(grid) - 1)]
-    c1 = b_br - _INV_PHI * (b_br - a_br)
-    c2 = a_br + _INV_PHI * (b_br - a_br)
-    f1 = _inner_solve(log_x, x, log_n, c1)[1]
-    f2 = _inner_solve(log_x, x, log_n, c2)[1]
-    while b_br - a_br > _GOLDEN_TOL:
-        if f1 <= f2:
-            b_br, c2, f2 = c2, c1, f1
-            c1 = b_br - _INV_PHI * (b_br - a_br)
-            f1 = _inner_solve(log_x, x, log_n, c1)[1]
-        else:
-            a_br, c1, f1 = c1, c2, f2
-            c2 = a_br + _INV_PHI * (b_br - a_br)
-            f2 = _inner_solve(log_x, x, log_n, c2)[1]
-    c_hat = (a_br + b_br) / 2.0
+    c_hat = _profile_minimum(
+        grid, profile, lambda c: _inner_solve(log_x, x, log_n, c)[1]
+    )
     coef, rss, rank = _inner_solve(log_x, x, log_n, c_hat)
     if rank < 3:
         raise DegenerateDesignError(
             "degenerate design: distance layout leaves the model underdetermined"
         )
-    # The gridded minimum can beat the refined bracket when the profile is
-    # flat to rounding; keep whichever evaluation came out lower.
-    if profile[best] < rss:
-        c_hat = float(grid[best])
-        coef, rss, rank = _inner_solve(log_x, x, log_n, c_hat)
     return DispersionFit(
         a=float(coef[0]),
         b=float(coef[1]),

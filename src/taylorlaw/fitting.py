@@ -1,11 +1,14 @@
 """Power-law fitting of mean-variance series and pattern classification.
 
 The variance-mean relation V = a*M^b is fitted two ways: ordinary least
-squares on ln V = ln a + b ln M, and direct Levenberg-Marquardt least
-squares on the raw pairs. The fitted exponent drives the classical
-taxonomy: slopes above 1 indicate aggregation, below 1 regularity, and a
-slope indistinguishable from 1 randomness. "Indistinguishable" is decided
-by a two-sided t-test on the slope at a caller-chosen significance level.
+squares on ln V = ln a + b ln M, and least squares on the raw pairs by a
+profile over b alone, a being solved exactly at each b (variable
+projection); that fit is ``converged`` only when the profile's minimum
+lies inside its bracket and the profile is not flat. The fitted exponent
+drives the classical taxonomy: slopes above 1 indicate aggregation, below
+1 regularity, and a slope indistinguishable from 1 randomness.
+"Indistinguishable" is decided by a two-sided t-test on the slope at a
+caller-chosen significance level.
 
 The aggregation critical density m0 = exp(ln a / (1 - b)) is the density
 at which variance equals the mean; a density-aware classification based on
@@ -33,6 +36,10 @@ PATTERNS = ("aggregated", "random", "regular")
 _B_ONE_TOL = 1e-9
 _RATIO_TOL = 1e-9
 _HALF_LN_PI = 0.5 * math.log(math.pi)
+_B_GRID_POINTS = 161
+_B_HALF_WIDTH = 3.0
+_GOLDEN_TOL = 1e-8
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -169,25 +176,55 @@ def fit_log_ols(series: MVSeries, min_pairs: int = 3) -> PowerLawFit:
     )
 
 
-def _nls_objective(a: float, b: float, m: np.ndarray, v: np.ndarray) -> float:
-    resid = v - a * np.power(m, b)
-    return float(resid @ resid)
+def _profile_minimum(grid: np.ndarray, profile: np.ndarray, objective) -> float:
+    """Minimizer of ``objective``, sampled as ``profile`` on ``grid``.
+
+    The grid's argmin, one step to either side, brackets a golden-section
+    search run to ``_GOLDEN_TOL``. The grid point is kept when its value is
+    lower than at the refined point, as when the profile is flat to rounding.
+    """
+    best = int(np.argmin(profile))
+    lo = grid[max(best - 1, 0)]
+    hi = grid[min(best + 1, len(grid) - 1)]
+    x1 = hi - _INV_PHI * (hi - lo)
+    x2 = lo + _INV_PHI * (hi - lo)
+    f1, f2 = objective(x1), objective(x2)
+    while hi - lo > _GOLDEN_TOL:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _INV_PHI * (hi - lo)
+            f1 = objective(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _INV_PHI * (hi - lo)
+            f2 = objective(x2)
+    x = float(lo + hi) / 2.0
+    return float(grid[best]) if profile[best] < objective(x) else x
 
 
-def fit_nls(
-    series: MVSeries,
-    init: tuple[float, float] | None = None,
-    max_iter: int = 200,
-    tol: float = 1e-10,
-) -> PowerLawFit:
-    """Marquardt-damped least squares of V on a*M^b in raw space.
+def _raw_profile(b, m: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """RSS of V on a*M^b at each exponent in ``b``, with a = sum(v m^b) /
+    sum(m^2b) exact for that b, and the a. The RSS is summed from the
+    residuals, not from sum(v^2) - a sum(v m^b), which cancels; it is inf
+    where a value leaves the float range. Call under ``np.errstate``."""
+    powers = m ** np.asarray(b)[..., None]
+    a = powers @ v / np.einsum("...i,...i->...", powers, powers)
+    powers *= -a[..., None]
+    powers += v
+    rss = np.einsum("...i,...i->...", powers, powers)
+    return np.where(np.isfinite(rss), rss, np.inf), a
+
+
+def fit_nls(series: MVSeries) -> PowerLawFit:
+    """Least squares of V on a*M^b in raw space, by a profile over b.
 
     Pairs with non-positive mean are dropped; zero variances are kept.
-    Initialized from the log-space fit unless ``init`` is given. Damping is
-    multiplied by 10 on a rejected step and divided by 10 on an accepted
-    one, starting from 1e-3; the fit is converged once an accepted step
-    reduces the objective by a relative amount below ``tol``.
-    Non-convergence is reported via ``converged=False``, not an exception.
+    a is solved exactly for each b, so only b is searched: 161 points over
+    the log-space slope +- 3 (1 +- 3 when that fit fails), refined by golden
+    section. ``converged`` is True only when the minimum lies inside that
+    bracket and the profile is not flat to one part in 1e6; otherwise b is
+    not identified and (a, b) is arbitrary. A profile with no finite value,
+    or an a that is not a positive float, raises ``DegenerateDesignError``.
     """
     kept = split_usable(series, "nls")[0]
     if len(kept) < 3:
@@ -196,68 +233,40 @@ def fit_nls(
         )
     m = np.array([p.mean for p in kept])
     v = np.array([p.variance for p in kept])
-
-    if init is not None:
-        a, b = float(init[0]), float(init[1])
-        if a <= 0:
-            raise UsageError("initial coefficient must be positive")
-    else:
-        try:
-            start = fit_log_ols(series)
-            a, b = start.a, start.b
-        except (InsufficientDataError, DegenerateDesignError):
-            a, b = 1.0, 1.0
-
-    converged = False
-    log_m = np.log(m)
-    with np.errstate(over="ignore", invalid="ignore"):
-        lam = 1e-3
-        obj = _nls_objective(a, b, m, v)
-        for _ in range(max_iter):
-            model = a * np.power(m, b)
-            resid = v - model
-            jac = np.column_stack([model / a, model * log_m])
-            jtj = jac.T @ jac
-            jtr = jac.T @ resid
-            if not (np.all(np.isfinite(jtj)) and np.all(np.isfinite(jtr))):
-                break
-            damped = jtj.copy()
-            damped[0, 0] += lam * max(jtj[0, 0], 1e-300)
-            damped[1, 1] += lam * max(jtj[1, 1], 1e-300)
-            try:
-                step = np.linalg.solve(damped, jtr)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            cand_a, cand_b = a + step[0], b + step[1]
-            cand_obj = (
-                _nls_objective(cand_a, cand_b, m, v) if cand_a > 0 else math.inf
-            )
-            if math.isfinite(cand_obj) and cand_obj <= obj:
-                decrease = obj - cand_obj
-                a, b, obj = float(cand_a), float(cand_b), cand_obj
-                lam = max(lam / 10.0, 1e-15)
-                if decrease <= tol * max(obj + decrease, 1e-300):
-                    converged = True
-                    break
-            else:
-                lam *= 10.0
-                if lam > 1e15:
-                    break
-
-    model = a * np.power(m, b)
-    resid = v - model
-    rss = float(resid @ resid)
-    n = len(kept)
-    jac = np.column_stack([model / a, model * np.log(m)])
-    sigma2 = rss / (n - 2)
     try:
-        cov = sigma2 * np.linalg.inv(jac.T @ jac)
-        se_a = math.sqrt(max(cov[0, 0], 0.0))
-        se_b = math.sqrt(max(cov[1, 1], 0.0))
-    except np.linalg.LinAlgError:
-        se_a = se_b = 0.0
-    tss = float(np.sum((v - v.mean()) ** 2))
+        b0 = fit_log_ols(series).b
+    except (InsufficientDataError, DegenerateDesignError):
+        b0 = 1.0
+
+    with np.errstate(all="ignore"):
+        grid = b0 + _B_HALF_WIDTH * np.linspace(-1.0, 1.0, _B_GRID_POINTS)
+        profile = _raw_profile(grid, m, v)[0]
+        if np.isinf(profile.min()):
+            raise DegenerateDesignError(
+                "degenerate design: the raw-space residuals overflow at every b"
+            )
+        b = _profile_minimum(grid, profile, lambda x: float(_raw_profile(x, m, v)[0]))
+        a = float(_raw_profile(b, m, v)[1])
+        if not 0.0 < a < math.inf:
+            raise DegenerateDesignError(
+                f"degenerate design: coefficient a = {a:.6g} is not a positive float"
+            )
+        inside = grid[0] < b < grid[-1]
+        flat = np.ptp(profile) <= 1e-6 * profile.min()
+
+        model = a * np.power(m, b)
+        resid = v - model
+        rss = float(resid @ resid)
+        n = len(kept)
+        jac = np.column_stack([model / a, model * np.log(m)])
+        sigma2 = rss / (n - 2)
+        try:
+            cov = sigma2 * np.linalg.inv(jac.T @ jac)
+            se_a = math.sqrt(max(cov[0, 0], 0.0))
+            se_b = math.sqrt(max(cov[1, 1], 0.0))
+        except np.linalg.LinAlgError:
+            se_a = se_b = 0.0
+        tss = float(np.sum((v - v.mean()) ** 2))
     return PowerLawFit(
         a=a,
         b=b,
@@ -268,7 +277,7 @@ def fit_nls(
         n_dropped=len(series.pairs) - n,
         method="nls",
         rss_raw=rss,
-        converged=converged,
+        converged=bool(inside and not flat),
     )
 
 

@@ -929,6 +929,28 @@ class TestHostileTableFuzz:
         run()
 
 
+@pytest.mark.parametrize(
+    "rows,status,converged",
+    [
+        # Residuals of about 1e300 overflow when squared, at every b.
+        (["1e-300,2e-300,1e-300", "1,3,2", "1e150,3e150,1e150"], 2, None),
+        (["3,3,3", "7,7,7", "12,12,12"], 2, None),  # all variances 0: a = 0
+        (["1,2,3", "3,2,1", "2,4,0"], 0, False),  # equal means: a flat profile
+        (["1e-310,0,0", "1,3,2", "4,10,7"], 0, True),  # a subnormal mean
+    ],
+    ids=["overflow", "zero-variances", "equal-means", "subnormal-mean"],
+)
+def test_nls_edge_tables(tmp_path, rows, status, converged):
+    path = tmp_path / "edge.csv"
+    lines = [f"{name},{row}\n" for name, row in zip("abc", rows)]
+    path.write_text("subject_id,s1,s2,s3\n" + "".join(lines))
+    argv = ["fit-taylor", "--input", str(path), "--method", "nls"]
+    rc, out = assert_clean_exit([*argv, "--scheme", "subjects_across_species"])
+    assert rc == status
+    if rc == 0:
+        assert json.loads(out)["report"]["fit"]["converged"] is converged
+
+
 class TestArgumentParsing:
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:
