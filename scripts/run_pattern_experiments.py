@@ -18,12 +18,7 @@ from taylorlaw import (
     pacd,
     taylor_experiment,
 )
-
-LEVELS = {
-    "poisson_sweep": [25, 50, 100, 200, 400, 800],
-    "thomas_cluster_sweep": [2, 4, 8, 16, 32],
-    "hardcore_sweep": [100, 200, 400, 800],
-}
+from taylorlaw.cli import DEFAULT_LEVELS
 
 
 def main() -> int:
@@ -39,7 +34,7 @@ def main() -> int:
     print("-" * len(header))
     for kind in EXPERIMENT_KINDS:
         series = taylor_experiment(
-            kind, LEVELS[kind], reps=args.reps, q=args.q, seed=args.seed
+            kind, DEFAULT_LEVELS[kind], reps=args.reps, q=args.q, seed=args.seed
         )
         fit = fit_log_ols(series)
         crossover = pacd(fit)

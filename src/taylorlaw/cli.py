@@ -57,6 +57,7 @@ from .pointprocess import (
 from .svgplot import emit_svg_plot
 from .tables import (
     AbundanceTable,
+    _emit,
     _is_comment,
     parse_cross_sectional,
     parse_location,
@@ -73,13 +74,13 @@ DEFAULT_LEVELS = {
     "hardcore_sweep": (100.0, 200.0, 400.0, 800.0),
 }
 
-_TABLE_COMMANDS = ("fit-taylor", "classify")
-_PLOT_COMMANDS = ("fit-taylor", "classify", "experiment")
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated configuration for one CLI invocation."""
+    """Validated configuration for one CLI invocation.
+
+    What each command requires, which ``--kind`` values it takes and whether
+    it plots are looked up in ``_COMMANDS``; each flag's choices in ``_FLAGS``.
+    """
 
     command: str
     input_path: str | None = None
@@ -110,53 +111,42 @@ class RunConfig:
     c_high: float = 5.0
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
+        command = _COMMANDS.get(self.command)
+        if command is None:
             raise UsageError(f"unknown command {self.command!r}")
-        if self.method not in METHODS:
-            raise UsageError(f"unknown method {self.method!r}")
+        for flag in command.required:
+            if getattr(self, _dest(flag)) in (None, ""):
+                raise UsageError(f"{self.command} requires {flag}")
+        if command.kinds and self.kind not in command.kinds:
+            raise UsageError(
+                f"{self.command} --kind must be one of {', '.join(command.kinds)}"
+            )
+        for flag, spec in _FLAGS.items():
+            value = getattr(self, _dest(flag))
+            if "choices" in spec and value is not None and value not in spec["choices"]:
+                raise UsageError(f"unknown {flag[2:]} {value!r}")
         if not 0.0 < self.alpha < 1.0:
             raise UsageError("alpha must lie in (0, 1)")
         if self.min_pairs < 1:
             raise UsageError("min-pairs must be at least 1")
+        if self.reps < 1:
+            raise UsageError("reps must be at least 1")
+        if self.q < 1:
+            raise UsageError("q must be at least 1")
         _check_seed(self.seed)
-        if self.output_format not in OUTPUT_FORMATS:
-            raise UsageError(f"unknown output format {self.output_format!r}")
         if self.plot_path is not None:
             if not self.plot_path.endswith(".svg"):
                 raise UsageError("plot path must end in .svg")
-            if self.command not in _PLOT_COMMANDS:
+            if "--plot" not in command.flags:
                 raise UsageError(f"{self.command} does not produce a plot")
             if self.subject == "all":
                 raise UsageError("plotting is only available for single fits")
-        if self.command in _TABLE_COMMANDS:
-            if not self.input_path:
-                raise UsageError(f"{self.command} requires --input")
-            if not self.scheme_tag:
-                raise UsageError(f"{self.command} requires --scheme")
         if self.command == "pacd":
             direct = self.a is not None or self.b is not None
             if direct and (self.a is None or self.b is None):
                 raise UsageError("pacd needs both --a and --b")
             if not direct and not (self.input_path and self.scheme_tag):
                 raise UsageError("pacd needs --a/--b or --input with --scheme")
-        if self.command == "fit-dispersion" and not self.input_path:
-            raise UsageError("fit-dispersion requires --input")
-        if self.command in ("simulate", "pcf"):
-            if self.kind not in GENERATOR_KINDS:
-                raise UsageError(
-                    f"simulation kind must be one of {', '.join(GENERATOR_KINDS)}"
-                )
-        if self.command == "experiment":
-            if self.kind not in EXPERIMENT_KINDS:
-                raise UsageError(
-                    f"experiment kind must be one of {', '.join(EXPERIMENT_KINDS)}"
-                )
-            if self.reps < 1:
-                raise UsageError("reps must be at least 1")
-            if self.q < 1:
-                raise UsageError("q must be at least 1")
-        if self.scheme_tag is not None and self.scheme_tag not in SCHEME_TAGS:
-            raise UsageError(f"unknown scheme {self.scheme_tag!r}")
 
 
 @dataclass(frozen=True)
@@ -271,14 +261,9 @@ def render_report(value, output_format: str) -> str:
     """Render a report structure as JSON or flat field,value CSV."""
     if output_format == "json":
         return _render_json(value) + "\n"
-    rows: list[tuple[str, str]] = []
+    rows = [("field", "value")]
     _flatten(value, "", rows)
-    out = ["field,value"]
-    for field, cell in rows:
-        if any(ch in cell for ch in ',"\n\r'):
-            cell = '"' + cell.replace('"', '""') + '"'
-        out.append(f"{field},{cell}")
-    return "\n".join(out) + "\n"
+    return _emit(rows)
 
 
 def _read_text(path: str) -> str:
@@ -372,9 +357,7 @@ def _run_pacd(config: RunConfig) -> dict:
     if config.a is not None:
         res = pacd_from_params(config.a, config.b)
         return {"command": "pacd", "a": config.a, "b": config.b, "pacd": asdict(res)}
-    value = _run_table_fit(config)
-    value["command"] = "pacd"
-    return value
+    return _run_table_fit(config)
 
 
 def _run_dispersion(config: RunConfig) -> dict:
@@ -532,6 +515,12 @@ _FLAGS = {
     "--format": dict(dest="output_format", choices=OUTPUT_FORMATS),
     "--plot": dict(dest="plot_path", metavar="PLOT", help="write a log-log SVG here"),
 }
+
+
+def _dest(flag: str) -> str:
+    """The RunConfig field a flag sets: its ``dest``, else argparse's default."""
+    return _FLAGS[flag].get("dest", flag[2:].replace("-", "_"))
+
 
 _FIT_FLAGS = (
     "--input",

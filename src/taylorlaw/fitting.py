@@ -299,6 +299,9 @@ def pacd_from_params(a: float, b: float) -> PacdResult:
 
 
 def pacd(fit: PowerLawFit) -> PacdResult:
+    """Critical density of a fit; undefined when its exponent is not identified."""
+    if not fit.converged:
+        return PacdResult(None, False, "exponent b not identified")
     return pacd_from_params(fit.a, fit.b)
 
 

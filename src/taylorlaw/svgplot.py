@@ -30,6 +30,14 @@ def _px(value: float, lo: float, hi: float, out_lo: float, out_hi: float) -> flo
     return out_lo + (value - lo) / (hi - lo) * (out_hi - out_lo)
 
 
+def _padded(lo: float, hi: float) -> tuple[float, float, float]:
+    """Widen ``[lo, hi]`` by 5% each side (to +-1 if empty); return it and the pad."""
+    if hi == lo:
+        lo, hi = lo - 1.0, hi + 1.0
+    pad = 0.05 * (hi - lo)
+    return lo - pad, hi + pad, pad
+
+
 def emit_svg_plot(series: MVSeries, fit: PowerLawFit, path: str) -> None:
     """Write the log-log scatter-and-line plot of ``fit`` over ``series``.
 
@@ -44,19 +52,12 @@ def emit_svg_plot(series: MVSeries, fit: PowerLawFit, path: str) -> None:
     xs = np.log([p.mean for p in plottable])
     ys = np.log([p.variance for p in plottable])
 
-    x_lo, x_hi = float(xs.min()), float(xs.max())
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
-    pad = 0.05 * (x_hi - x_lo)
-    x_lo, x_hi = x_lo - pad, x_hi + pad
+    x_lo, x_hi, x_pad = _padded(float(xs.min()), float(xs.max()))
     ln_a = math.log(fit.a)
     line_y = (ln_a + fit.b * x_lo, ln_a + fit.b * x_hi)
-    y_lo = min(float(ys.min()), *line_y)
-    y_hi = max(float(ys.max()), *line_y)
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
-    pad = 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
+    y_lo, y_hi, y_pad = _padded(
+        min(float(ys.min()), *line_y), max(float(ys.max()), *line_y)
+    )
 
     px_r = (_LEFT, _W - _RIGHT)
     py_r = (_H - _BOTTOM, _TOP)
@@ -79,14 +80,14 @@ def emit_svg_plot(series: MVSeries, fit: PowerLawFit, path: str) -> None:
         f"M {_LEFT} {_TOP} L {_LEFT} {_H - _BOTTOM} L {_W - _RIGHT} {_H - _BOTTOM}"
     ]
     labels = []
-    for tick in np.linspace(x_lo + pad, x_hi - pad, _TICKS):
+    for tick in np.linspace(x_lo + x_pad, x_hi - x_pad, _TICKS):
         tx = to_px(float(tick))
         axis_path.append(f"M {tx:.2f} {_H - _BOTTOM} l 0 6")
         labels.append(
             f'  <text x="{tx:.2f}" y="{_H - _BOTTOM + 22}" text-anchor="middle" '
             f'font-size="12">{float(tick):.3g}</text>'
         )
-    for tick in np.linspace(y_lo + pad, y_hi - pad, _TICKS):
+    for tick in np.linspace(y_lo + y_pad, y_hi - y_pad, _TICKS):
         ty = to_py(float(tick))
         axis_path.append(f"M {_LEFT} {ty:.2f} l -6 0")
         labels.append(

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date
@@ -181,10 +182,9 @@ def _is_comment(line: str) -> bool:
 
 def _data_lines(text: Union[str, IO[str], Iterable[str]]) -> list[tuple[int, list[str]]]:
     """Strip comments/blank lines, CSV-split the rest, keep 1-based line numbers."""
-    if isinstance(text, str):
-        lines = text.splitlines()
-    else:
-        lines = [line.rstrip("\r\n") for line in text]
+    if not isinstance(text, str):
+        text = "\n".join(line.rstrip("\r\n") for line in text)
+    lines = text.splitlines()
     numbered = [
         (i, line)
         for i, line in enumerate(lines, start=1)
@@ -405,11 +405,11 @@ def _fmt_time(t: TimeLabel) -> str:
     return t.isoformat() if isinstance(t, date) else str(t)
 
 
+_NEEDS_QUOTES = re.compile('[,"\n\r]')
+
+
 def _quote(field: str, first: bool) -> str:
-    needs = any(ch in field for ch in ',"\n\r')
-    if first and _is_comment(field):
-        needs = True
-    if needs:
+    if _NEEDS_QUOTES.search(field) or (first and _is_comment(field)):
         return '"' + field.replace('"', '""') + '"'
     return field
 
@@ -417,7 +417,7 @@ def _quote(field: str, first: bool) -> str:
 def _emit(rows: Iterable[Sequence[str]]) -> str:
     out = io.StringIO()
     for row in rows:
-        out.write(",".join(_quote(f, i == 0) for i, f in enumerate(row)))
+        out.write(",".join([_quote(f, i == 0) for i, f in enumerate(row)]))
         out.write("\n")
     return out.getvalue()
 

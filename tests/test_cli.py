@@ -18,7 +18,15 @@ from taylorlaw import (
     classify_from_params,
     pacd_from_params,
 )
-from taylorlaw.cli import RunConfig, build_fit_report, main, render_report
+from taylorlaw.cli import (
+    _COMMANDS,
+    _FLAGS,
+    RunConfig,
+    _dest,
+    build_fit_report,
+    main,
+    render_report,
+)
 from taylorlaw.extraction import SCHEME_TAGS
 
 
@@ -123,6 +131,53 @@ class TestRunConfigValidation:
     def test_rejected_configurations(self, kwargs):
         with pytest.raises(UsageError):
             RunConfig(**kwargs)
+
+    @staticmethod
+    def _required_fields(command) -> dict:
+        """A config for ``command`` that sets every flag it requires."""
+        return {
+            _dest(flag): _FLAGS[flag].get("choices", ("x.csv",))[0]
+            for flag in command.required
+        } | {"kind": command.kinds[0] if command.kinds else None}
+
+    @pytest.mark.parametrize("name", list(_COMMANDS))
+    def test_each_required_flag_is_enforced(self, name):
+        command = _COMMANDS[name]
+        fields = self._required_fields(command)
+        for flag in command.required:
+            for missing in (None, ""):
+                kwargs = fields | {_dest(flag): missing}
+                with pytest.raises(UsageError, match=f"{name} requires {flag}$"):
+                    RunConfig(command=name, **kwargs)
+
+    @pytest.mark.parametrize("name", [n for n, c in _COMMANDS.items() if c.kinds])
+    def test_kind_outside_the_command_kinds_is_rejected(self, name):
+        command = _COMMANDS[name]
+        others = {k for c in _COMMANDS.values() for k in c.kinds} - set(command.kinds)
+        for kind in (None, "brownian", *sorted(others)):
+            kwargs = self._required_fields(command) | {"kind": kind}
+            with pytest.raises(UsageError, match=f"{name} --kind must be one of"):
+                RunConfig(command=name, **kwargs)
+
+    @pytest.mark.parametrize(
+        "flag", [flag for flag, spec in _FLAGS.items() if "choices" in spec]
+    )
+    def test_value_outside_flag_choices_is_rejected(self, flag):
+        kwargs = {"kind": "poisson_sweep", _dest(flag): "bogus"}
+        with pytest.raises(UsageError, match=f"unknown {flag[2:]} 'bogus'"):
+            RunConfig(command="experiment", **kwargs)
+
+    @pytest.mark.parametrize("name", list(_COMMANDS))
+    def test_plot_only_where_the_command_takes_it(self, name):
+        command = _COMMANDS[name]
+        kwargs = self._required_fields(command) | {"plot_path": "p.svg"}
+        if name == "pacd":
+            kwargs |= {"a": 2.0, "b": 1.5}
+        if "--plot" in command.flags:
+            RunConfig(command=name, **kwargs)
+        else:
+            with pytest.raises(UsageError, match="does not produce a plot"):
+                RunConfig(command=name, **kwargs)
 
     def test_plot_requires_single_fit(self):
         with pytest.raises(UsageError, match="single fits"):
@@ -948,7 +1003,10 @@ def test_nls_edge_tables(tmp_path, rows, status, converged):
     rc, out = assert_clean_exit([*argv, "--scheme", "subjects_across_species"])
     assert rc == status
     if rc == 0:
-        assert json.loads(out)["report"]["fit"]["converged"] is converged
+        report = json.loads(out)["report"]
+        assert report["fit"]["converged"] is converged
+        if not converged:
+            assert report["pacd"]["defined"] is False
 
 
 class TestArgumentParsing:

@@ -9,6 +9,7 @@ independent check on the hand-rolled minimizer.
 """
 
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -24,12 +25,14 @@ from taylorlaw import (
     InsufficientDataError,
     MVPair,
     MVSeries,
+    PacdResult,
     PowerLawFit,
     UsageError,
     classify_at_density,
     classify_from_params,
     fit_log_ols,
     fit_nls,
+    pacd,
     pacd_from_params,
     t_tail_probability,
 )
@@ -380,6 +383,11 @@ class TestCrossoverDensity:
     def test_non_positive_coefficient_rejected(self):
         with pytest.raises(DomainError, match="must be positive"):
             pacd_from_params(0.0, 1.5)
+
+    def test_undefined_when_exponent_not_identified(self):
+        fit = PowerLawFit(2.0, 1.5, 0.1, 0.1, 0.9, 4, 0, "nls", converged=False)
+        assert pacd(fit) == PacdResult(None, False, "exponent b not identified")
+        assert pacd(replace(fit, converged=True)).m0 == 0.25
 
     @pytest.mark.parametrize(
         "a,b",

@@ -11,6 +11,7 @@ review the diff.
 """
 
 import contextlib
+import csv
 import io
 import sys
 from pathlib import Path
@@ -121,6 +122,39 @@ def test_plot_bytes(name, tmp_path):
     plot = tmp_path / "plot.svg"
     _run(name, "json", plot)
     assert plot.read_bytes() == (GOLDEN / f"{name}.svg").read_bytes()
+
+
+# A species id holding a comma and one holding a double quote: every
+# report row still reads back as one field path and one value.
+QUOTED_LOCATION = (
+    "species,s1,s2,s3,s4,s5\n"
+    "distance,0.5,1,2,4,8\n"
+    '"de,cayer",120,60,25,9,2\n'
+    '"x""y",100,50,30,10,5\n'
+)
+
+
+def _csv_rows(text: str) -> list[list[str]]:
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert rows[0] == ["field", "value"]
+    assert all(len(row) == 2 for row in rows), [r for r in rows if len(r) != 2]
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_csv_report_rows_have_two_fields(name):
+    _csv_rows((GOLDEN / f"{name}.csv").read_text(encoding="utf-8"))
+
+
+def test_quoted_species_ids_keep_two_fields(tmp_path):
+    path = tmp_path / "location.csv"
+    path.write_text(QUOTED_LOCATION)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["fit-dispersion", "--input", str(path), "--format", "csv"]) == 0
+    fields = [row[0] for row in _csv_rows(out.getvalue())]
+    assert "fits.de,cayer.a" in fields
+    assert 'fits.x"y.a' in fields
 
 
 def _regenerate() -> None:

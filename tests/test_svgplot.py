@@ -1,5 +1,8 @@
 """SVG plot output: element counts, caption bookkeeping, determinism."""
 
+import re
+
+import numpy as np
 import pytest
 
 from conftest import exact_series
@@ -10,6 +13,7 @@ from taylorlaw import (
     emit_svg_plot,
     fit_log_ols,
 )
+from taylorlaw.svgplot import _LEFT, _RIGHT, _W
 
 
 def render(series, tmp_path, name="plot.svg"):
@@ -92,3 +96,19 @@ def test_too_few_plottable_pairs(tmp_path):
     fit = fit_log_ols(exact_series())
     with pytest.raises(InsufficientDataError, match="at least 2"):
         emit_svg_plot(thin, fit, str(tmp_path / "out.svg"))
+
+
+def test_x_ticks_span_the_x_axis(tmp_path):
+    # A narrow mean range under a wide variance range: the x ticks must be
+    # spaced by the x padding, not the y padding.
+    means = np.linspace(1.0, 1.1, 5)
+    variances = np.linspace(1.0, 400.0, 5)
+    series = MVSeries(
+        None,
+        tuple(MVPair(f"p{i}", m, v) for i, (m, v) in enumerate(zip(means, variances))),
+    )
+    content = render(series, tmp_path)
+    ticks = [float(x) for x in re.findall(r"M ([-\d.]+) \d+ l 0 6", content)]
+    assert len(ticks) == 5
+    assert all(_LEFT <= x <= _W - _RIGHT for x in ticks), ticks
+    assert ticks == sorted(ticks) and len(set(ticks)) == 5

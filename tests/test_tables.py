@@ -1,6 +1,7 @@
 """Parsing, validation, and round-trip behavior of the three CSV layouts."""
 
 import datetime
+import io
 
 import numpy as np
 import pytest
@@ -88,6 +89,23 @@ class TestCrossSectional:
     def test_fractional_counts_accepted(self):
         table = parse_cross_sectional("subject_id,sp1\na,2.5\n")
         assert table.counts[0, 0] == 2.5
+
+
+# Every character str.splitlines() ends a line at, besides "\n".
+LINE_BREAKS = ["\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85"]
+LINE_BREAKS += ["\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", LINE_BREAKS, ids=[repr(s) for s in LINE_BREAKS])
+def test_file_object_splits_lines_like_a_str(sep):
+    text = f"subject_id,a,b\ns1,1,2{sep}s2,3,4\n"
+    results = []
+    for source in (text, io.StringIO(text)):
+        try:
+            results.append(format_cross_sectional(parse_cross_sectional(source)))
+        except ParseError as exc:
+            results.append(f"error: {exc}")
+    assert results[0] == results[1]
 
 
 class TestLongitudinal:
