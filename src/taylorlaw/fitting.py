@@ -215,6 +215,17 @@ def _raw_profile(b, m: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.where(np.isfinite(rss), rss, np.inf), a
 
 
+def _raw_rss(b: float, m: np.ndarray, v: np.ndarray) -> float:
+    """``_raw_profile``'s RSS at one exponent, bit for bit, with less numpy
+    dispatch: the golden-section objective. ``np.power``, not ``**``, whose
+    fast paths for b = 2, 0.5, -1, ... could round differently."""
+    p = np.power(m, b)
+    a = p @ v / np.einsum("i,i->", p, p)
+    r = v - a * p
+    rss = float(np.einsum("i,i->", r, r))
+    return rss if math.isfinite(rss) else math.inf
+
+
 def fit_nls(series: MVSeries) -> PowerLawFit:
     """Least squares of V on a*M^b in raw space, by a profile over b.
 
@@ -245,7 +256,7 @@ def fit_nls(series: MVSeries) -> PowerLawFit:
             raise DegenerateDesignError(
                 "degenerate design: the raw-space residuals overflow at every b"
             )
-        b = _profile_minimum(grid, profile, lambda x: float(_raw_profile(x, m, v)[0]))
+        b = _profile_minimum(grid, profile, lambda x: _raw_rss(x, m, v))
         a = float(_raw_profile(b, m, v)[1])
         if not 0.0 < a < math.inf:
             raise DegenerateDesignError(

@@ -29,6 +29,12 @@ from taylorlaw.cli import (
 )
 from taylorlaw.extraction import SCHEME_TAGS
 
+SUB_UNIT_LOCATION_CSV = (
+    "species,s1,s2,s3,s4,s5\n"
+    "distance,0.1,0.2,0.4,0.6,0.9\n"
+    "decayer,120,60,25,9,2\n"
+)
+
 
 @pytest.fixture
 def exact_csv(tmp_path):
@@ -779,6 +785,20 @@ class TestHostileInput:
             fits["341"]["decayer"]["c"], abs=1e-6
         )
         assert "error" in fits[c_high]["vanisher"]
+
+    def test_c_high_past_underflow_ends_the_search(self, capsys, tmp_path):
+        # Every distance is below 1, so x**c underflows to a zero column
+        # where 0.9**c leaves the normal range, at c = 6723.5.
+        path = tmp_path / "loc.csv"
+        path.write_text(SUB_UNIT_LOCATION_CSV)
+        c = {}
+        for high in ("5", "1e308"):
+            rc, out, err = run_hostile(
+                capsys, ["fit-dispersion", "--input", str(path), "--c-high", high]
+            )
+            assert (rc, err) == (0, "")
+            c[high] = json.loads(out)["fits"]["decayer"]["c"]
+        assert c["1e308"] == pytest.approx(c["5"], abs=1e-6)
 
 
 # One value of each hostile class for the numeric flags: negative, zero,

@@ -1,6 +1,7 @@
 """Distance-decay fits and the displacement rule."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from taylorlaw import (
     fit_dispersion,
     predict_dispersion,
 )
-from taylorlaw.dispersion import _C_FLOOR, _largest_finite_c
+from taylorlaw import dispersion
+from taylorlaw.dispersion import _C_FLOOR, _inner_solve, _last_normal_c
 
 XS = np.geomspace(0.5, 6.0, 20)
 
@@ -79,15 +81,95 @@ class TestDispersionFit:
         resid = np.log(ns) - (fit.a + fit.b * XS**fit.c + fit.d * np.log(XS))
         assert float(resid @ resid) == pytest.approx(fit.rss_log, rel=1e-9)
 
-    # The log-ratio estimate overshoots for 8 and undershoots for 2.40192...
+    # The log-ratio estimate overshoots for 8 and undershoots for 2.40192...;
+    # below 1 the search ends where x_top**c leaves the normal range.
     @pytest.mark.parametrize(
-        "x_top", [1 + 2**-52, 1.0000001, 1.5, 2.4019297414660867, 8.0, 1e300]
+        "x_top",
+        [1 + 2**-52, 1.0000001, 1.5, 2.4019297414660867, 8.0, 1e300]
+        + [1 - 2**-53, 0.9, 0.5, 1e-300],
     )
     def test_search_end_is_the_last_finite_c(self, x_top):
-        with np.errstate(over="ignore"):
-            c = _largest_finite_c(x_top, _C_FLOOR, 1e308)
-            assert np.isfinite(np.power(x_top, c))
-            assert np.isinf(np.power(x_top, math.nextafter(c, math.inf)))
+        def normal(c):
+            return np.finfo(float).tiny <= np.power(x_top, c) < math.inf
+
+        with np.errstate(over="ignore", under="ignore"):
+            c = _last_normal_c(x_top, _C_FLOOR, 1e308)
+            assert normal(c)
+            assert not normal(math.nextafter(c, math.inf))
+
+    def test_search_end_is_the_interval_end_while_x_top_to_the_c_is_normal(self):
+        assert _last_normal_c(8.0, _C_FLOOR, 341.0) == 341.0
+        assert _last_normal_c(0.9, _C_FLOOR, 5.0) == 5.0
+        assert _last_normal_c(1.0, _C_FLOOR, 1e308) == 1e308
+
+
+def loop_profile(log_x, x, log_n, grid):
+    """The profile as one ``_inner_solve`` per grid point: the exact oracle."""
+    return np.array([_inner_solve(log_x, x, log_n, c)[1] for c in grid])
+
+
+def fit_or_error(xs, ns, c_interval):
+    try:
+        return fit_dispersion(xs, ns, c_interval)
+    except DegenerateDesignError as exc:
+        return str(exc)
+
+
+def reference_fit(xs, ns, c_interval):
+    with mock.patch.object(dispersion, "_grid_profile", loop_profile):
+        return fit_or_error(xs, ns, c_interval)
+
+
+@st.composite
+def location_tables(draw):
+    """(xs, ns, c_interval) for decays, flat profiles and awkward layouts."""
+    n = draw(st.integers(4, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["spread", "sub_unit", "top_8"]))
+    if layout == "spread":
+        x = np.cumsum(rng.uniform(0.5, 1.5, n))
+    elif layout == "sub_unit":
+        x = np.sort(rng.uniform(0.01, 0.99, n))
+    else:
+        x = np.geomspace(0.5, 8.0, n)
+    shape = draw(st.sampled_from(["decay", "noisy", "power", "constant"]))
+    c = draw(st.floats(0.05, 4.0))
+    b = -draw(st.floats(0.5, 6.0)) / x.max() ** c
+    d = draw(st.floats(-1.0, 1.0))
+    ln_n = {
+        "decay": 3.0 + b * x**c + d * np.log(x),
+        "noisy": 3.0 + b * x**c + d * np.log(x) + rng.normal(0, 0.05, n),
+        "power": 3.0 + d * np.log(x),
+        "constant": np.full(n, 3.0),
+    }[shape]
+    intervals = [(0.0, 5.0), (0.0, 0.01), (0.0, 0.3), (2.0, 5.0)]
+    if layout == "sub_unit":
+        intervals.append((0.0, 1e308))
+    if layout == "top_8":
+        intervals += [(0.0, 342.0), (0.0, 1e308)]
+    c_interval = draw(st.sampled_from(intervals))
+    return [float(v) for v in x], [float(v) for v in np.exp(ln_n)], c_interval
+
+
+class TestGridProfile:
+    @settings(max_examples=300, deadline=None)
+    @given(location_tables())
+    def test_fit_equals_the_lstsq_loop(self, table):
+        # (0, 0.01) puts the search where x^c is nearly the intercept,
+        # (0, 0.3) and (2, 5) put minima at either end, 1e308 clips.
+        xs, ns, c_interval = table
+        assert fit_or_error(xs, ns, c_interval) == reference_fit(xs, ns, c_interval)
+
+    def test_exact_solves_are_few_on_a_noise_free_decay(self):
+        rng = np.random.default_rng(3)
+        x = np.cumsum(rng.uniform(0.5, 1.5, 10))
+        ns = np.exp(4.0 - 3.0 * (x / x[-1]) ** 1.3 + 0.4 * np.log(x))
+        with mock.patch.object(
+            dispersion, "_inner_solve", wraps=_inner_solve
+        ) as solve:
+            fit = fit_dispersion(list(x), list(ns))
+        assert fit.c == pytest.approx(1.3, abs=1e-6)
+        assert solve.call_count <= 50
 
 
 class TestDispersionErrors:

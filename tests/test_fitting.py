@@ -14,7 +14,7 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import exact_series
@@ -37,6 +37,7 @@ from taylorlaw import (
     t_tail_probability,
 )
 from taylorlaw._fmt import sig12
+from taylorlaw.fitting import _raw_profile, _raw_rss
 
 
 def two_sided_tail_by_quadrature(t: float, dof: int) -> float:
@@ -350,6 +351,36 @@ class TestNlsProfileOracle:
             flat_cases += bool(flat)
         # Both ways of failing to identify b occur: flat and at an end.
         assert flat_cases >= 25 and unconverged - flat_cases >= 20
+
+
+@st.composite
+def raw_pairs(draw):
+    """(m, v) of comparable size, where the summation order shows in the
+    last bits, or spread over the whole float range; some v are zero."""
+    n = draw(st.integers(3, 20))
+    top = draw(st.sampled_from([1e3, 1e300]))
+    m = draw(st.lists(st.floats(1 / top, top), min_size=n, max_size=n))
+    v = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, top)), min_size=n, max_size=n))
+    return np.array(m), np.array(v)
+
+
+class TestNlsGoldenObjective:
+    """The golden steps' scalar RSS is the grid's, bit for bit."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        pairs=raw_pairs(),
+        b=st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]), st.floats(-5.0, 5.0)),
+    )
+    # a*m^b stays finite but the residual's square overflows to inf.
+    @example(pairs=(np.array([1.0, 2.0, 3.0]), np.array([1e300, 0.0, 0.0])), b=0.0)
+    # m^b overflows, a = inf/inf is NaN, and NaN is reported as inf.
+    @example(pairs=(np.array([1e200, 1e201, 1e202]), np.array([1.0, 2.0, 3.0])), b=2.0)
+    def test_scalar_rss_equals_the_profile(self, pairs, b):
+        m, v = pairs
+        with np.errstate(all="ignore"):
+            expected = float(_raw_profile(b, m, v)[0])
+            assert _raw_rss(b, m, v).hex() == expected.hex()
 
 
 class TestCrossoverDensity:
