@@ -15,6 +15,7 @@ from .dispersion import (
     delta_displacement,
     delta_equilibrium,
     fit_dispersion,
+    fit_dispersion_table,
     predict_dispersion,
 )
 from .errors import (
@@ -115,6 +116,7 @@ __all__ = [
     "estimate_pcf",
     "extract_pairs",
     "fit_dispersion",
+    "fit_dispersion_table",
     "fit_log_ols",
     "fit_nls",
     "fit_pcf",

@@ -29,7 +29,8 @@ from typing import Callable
 import numpy as np
 
 from ._fmt import sig12
-from .dispersion import fit_dispersion
+from .dispersion import DispersionFit, fit_dispersion_table
+from .dispersion import fit_dispersion  # noqa: F401  benchmark/spans.py wraps this name
 from .errors import DataError, ParseError, TaylorLawError, UsageError
 from .extraction import _PER_SUBJECT, SCHEME_TAGS, MVSeries, Scheme, extract_pairs
 from .fitting import (
@@ -365,9 +366,9 @@ def _run_dispersion(config: RunConfig) -> dict:
     xs = list(table.distances)
     fits = _fit_each(
         "species",
-        table.counts,
-        lambda ns: asdict(fit_dispersion(xs, ns.tolist(), (config.c_low, config.c_high))),
-        lambda ns, error: {"error": error},
+        fit_dispersion_table(xs, table.counts, (config.c_low, config.c_high)),
+        _fit_dict,
+        lambda result, error: {"error": error},
     )
     return {
         "command": "fit-dispersion",
@@ -375,6 +376,13 @@ def _run_dispersion(config: RunConfig) -> dict:
         "distances": xs,
         "fits": dict(zip(table.species_ids, fits)),
     }
+
+
+def _fit_dict(result: DispersionFit | DataError) -> dict:
+    """A species' fit as a report dict; a data error in its place is raised."""
+    if isinstance(result, DataError):
+        raise result
+    return asdict(result)
 
 
 def _make_pattern(config: RunConfig):

@@ -4,7 +4,9 @@ Two small models for how abundance changes with distance from a source:
 
 * a decay law ln N = a + b*x^c + d*ln x fitted to (distance, abundance)
   data by profiling the inner exponent c, with the remaining parameters
-  solved exactly by linear least squares at each candidate c;
+  solved exactly by linear least squares at each candidate c: a grid
+  whose designs are factored once per distance row, so once for a whole
+  location table, then Newton steps with a Gauss-Newton curvature;
 * a displacement rule delta = epsilon*[(r0/R)^s - (r0/R)^t] whose single
   positive equilibrium sits at R = r0.
 
@@ -17,11 +19,15 @@ through ``profile_flat`` instead of being resolved arbitrarily.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
+    DataError,
     DegenerateDesignError,
     DomainError,
     InsufficientDataError,
@@ -33,6 +39,7 @@ _GRID_POINTS = 161
 _C_FLOOR = 1e-6
 _TINY = float(np.finfo(float).tiny)
 _HUGE = float(np.finfo(float).max)
+_BLOCK = 2**20
 
 
 @dataclass(frozen=True)
@@ -77,32 +84,65 @@ class DeltaParams:
             raise ValueError("exponents s and t must differ")
 
 
+class _Solve(NamedTuple):
+    """The exact fit at one c: the RSS with its slope and Gauss-Newton
+    curvature in c, then (a, b, d) and the rank of the design."""
+
+    rss: float
+    slope: float
+    curvature: float
+    coef: np.ndarray
+    rank: int
+
+
 def _inner_solve(
     log_x: np.ndarray, x: np.ndarray, log_n: np.ndarray, c: float
-) -> tuple[np.ndarray, float, int]:
-    """Exact least squares in (a, b, d) for fixed c; returns coef, rss, rank."""
-    design = np.column_stack([np.ones_like(x), np.power(x, c), log_x])
-    coef, _, rank, _ = np.linalg.lstsq(design, log_n, rcond=None)
-    resid = log_n - design @ coef
-    return coef, float(resid @ resid), int(rank)
+) -> _Solve:
+    """Exact least squares in (a, b, d) for fixed c, and the profile's
+    derivatives in c.
+
+    With z = x^c ln x the variable-projection gradient of the RSS is
+    -2b r.z, and Kaufman's Gauss-Newton curvature is 2b^2 |Pz|^2, where P
+    projects onto the complement of the design's columns (Kaufman 1975,
+    BIT 15:49). One lstsq with the right-hand sides [ln N, z/max(x^c)]
+    gives both the residual r and Pz; as r is orthogonal to the columns,
+    r.z = r.Pz. The scaling keeps z finite where max(x)^c nears the largest
+    float, while b*max(x^c), the fitted term at its largest, stays finite.
+    """
+    power = np.power(x, c)
+    top = power.max()
+    design = np.column_stack([np.ones_like(x), power, log_x])
+    rhs = np.column_stack([log_n, power / top * log_x])
+    coef, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
+    r, pz = (rhs - design @ coef).T
+    b_top = float(coef[1, 0] * top)
+    return _Solve(
+        float(r @ r),
+        -2.0 * b_top * float(r @ pz),
+        2.0 * b_top * b_top * float(pz @ pz),
+        coef[:, 0],
+        int(rank),
+    )
 
 
 def _grid_profile(
     log_x: np.ndarray, x: np.ndarray, log_n: np.ndarray, grid: np.ndarray
 ) -> np.ndarray:
-    """The RSS profile over ``grid``, exactly ``_inner_solve``'s where it counts.
+    """The RSS profiles over ``grid`` of every row of ``log_n``, one column
+    per row, exactly ``_inner_solve``'s where it counts.
 
-    One stacked SVD of the designs [1, x^c, ln x] gives every RSS, leaving
-    out the singular values that lstsq's rcond=None rule drops, with an
-    error bound 4*delta*(sqrt(rss) + delta) that covers both it and lstsq's.
+    One stacked SVD of the designs [1, x^c, ln x] serves every row, and
+    U(U^T Y) gives all their residuals, leaving out the singular values that
+    lstsq's rcond=None rule drops. Each RSS carries an error bound
+    4*delta*(sqrt(rss) + delta) that covers both it and lstsq's.
     delta = 64*n*eps*(1 + 2*kappa)*|ln N| bounds the residual error of
     either solve, kappa = s_max/s_min (Golub & Van Loan, Matrix
     Computations, Thm 5.3.1); 64*n*eps is some 40 times the largest
-    backward error measured on 3,600 generated tables. Every point whose
-    bound reaches the lowest upper or the highest lower bound is solved
-    again by ``_inner_solve``, as is any point whose rank is in doubt or
-    whose bound is not finite. The argmin, the minimum and the maximum are
-    then those of a loop over ``_inner_solve``, bit for bit.
+    backward error measured on 3,600 generated tables. In each column,
+    every point whose bound reaches the lowest upper or the highest lower
+    bound is solved again by ``_inner_solve``, as is any point whose rank
+    is in doubt or whose bound is not finite. Each column's argmin, minimum
+    and maximum are then those of a loop over ``_inner_solve``, bit for bit.
     """
     n = len(x)
     eps = np.finfo(float).eps
@@ -116,18 +156,24 @@ def _grid_profile(
         u, s, _ = np.linalg.svd(design, full_matrices=False)
         cut = eps * max(n, 3) * s[:, :1]
         keep = s > cut
-        fitted = u @ ((log_n @ u) * keep)[..., None]
-        resid = log_n - fitted[..., 0]
-        rss = np.einsum("gi,gi->g", resid, resid)
+        u *= keep[:, None, :]
+        rss = np.empty((len(grid), len(log_n)))
+        rows = max(1, _BLOCK // (len(grid) * n))  # bounds the (grid, n, rows) blocks
+        for j in range(0, len(log_n), rows):
+            y = log_n[j : j + rows].T
+            resid = y - u @ (u.swapaxes(1, 2) @ y)
+            rss[:, j : j + rows] = np.einsum("gic,gic->gc", resid, resid)
         kappa = s[:, 0] / np.where(keep, s, np.inf).min(axis=1)
-        delta = 64 * n * eps * (1 + 2 * kappa) * math.sqrt(log_n @ log_n)
+        norm = np.sqrt(np.einsum("ki,ki->k", log_n, log_n))
+        delta = 64 * n * eps * np.outer(1 + 2 * kappa, norm)
         err = 4 * delta * (np.sqrt(rss) + delta)
         rank_in_doubt = ((s > cut / 1e3) & (s < cut * 1e3)).any(axis=1)
-        sure = finite & np.isfinite(err) & ~rank_in_doubt
+        sure = (finite & ~rank_in_doubt)[:, None] & np.isfinite(err)
         low = np.where(sure, rss - err, -np.inf)
         high = np.where(sure, rss + err, np.inf)
-    for i in np.flatnonzero((low <= high.min()) | (high >= low.max())):
-        rss[i] = _inner_solve(log_x, x, log_n, grid[i])[1]
+    again = (low <= high.min(axis=0)) | (high >= low.max(axis=0))
+    for g, j in zip(*np.nonzero(again)):
+        rss[g, j] = _inner_solve(log_x, x, log_n[j], grid[g]).rss
     return rss
 
 
@@ -155,36 +201,78 @@ def _last_normal_c(x_top: float, lo: float, hi: float) -> float:
     return c
 
 
-def fit_dispersion(
-    xs: list[float],
-    ns: list[float],
+def fit_dispersion_table(
+    xs: Sequence[float],
+    counts,
     c_interval: tuple[float, float] = (0.0, 5.0),
-) -> DispersionFit:
-    """Fit ln N = a + b*x^c + d*ln x by a one-dimensional profile over c.
+) -> list[DispersionFit | DataError]:
+    """Fit ln N = a + b*x^c + d*ln x to each row of ``counts`` at the
+    distances ``xs``, by a one-dimensional profile over c.
 
-    A coarse scan over ``c_interval`` locates the best bracket, then a
-    golden-section refinement (tolerance 1e-8 on c) pins the minimizer;
-    (a, b, d) are always the exact linear least-squares solution at the
-    current c. The interval's lower end is open: values at or below 0 are
-    clipped to 1e-6, below which x^c is indistinguishable from the
-    intercept anyway. An upper end at which max(x)^c overflows, or with
-    every distance below 1 underflows below the smallest normal float, is
-    lowered to the largest c for which it is a normal float.
+    Each row gets the fit ``fit_dispersion`` gives it, or in its place the
+    data error that it raises. A bad ``c_interval`` raises ``UsageError`` as
+    soon as one row passes its data checks. The distance row is checked, and
+    the 161 designs of the c grid are factored, once for the whole table
+    (``_grid_profile``).
     """
-    if len(xs) != len(ns):
-        raise UsageError(
-            f"distance and abundance lists differ in length ({len(xs)} vs {len(ns)})"
-        )
-    if len(xs) < 4:
-        raise InsufficientDataError(
-            f"insufficient data: {len(xs)} points, need at least 4"
-        )
     x = np.asarray(xs, dtype=float)
-    n = np.asarray(ns, dtype=float)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(n))):
-        raise DomainError("distances and abundances must be finite")
-    if np.any(x <= 0) or np.any(n <= 0):
-        raise DomainError("ln undefined: distances and abundances must be positive")
+    ns = np.asarray(counts, dtype=float)
+    if ns.ndim != 2 or ns.shape[1] != len(x):
+        raise UsageError(f"counts must be a table with one column per distance ({len(x)})")
+    if len(x) < 4:
+        error = InsufficientDataError(f"insufficient data: {len(x)} points, need at least 4")
+        return [error] * len(ns)
+    finite = np.isfinite(x).all() & np.isfinite(ns).all(axis=1)
+    positive = (x > 0).all() & (ns > 0).all(axis=1)
+    results: list = [None] * len(ns)
+    for i in np.flatnonzero(~finite):
+        results[i] = DomainError("distances and abundances must be finite")
+    for i in np.flatnonzero(finite & ~positive):
+        results[i] = DomainError("ln undefined: distances and abundances must be positive")
+    todo = np.flatnonzero(finite & positive)
+    if not todo.size:
+        return results
+    try:
+        grid = _c_grid(x, c_interval)
+    except DataError as error:
+        for i in todo:
+            results[i] = error
+        return results
+
+    log_x = np.log(x)
+    log_n = np.log(ns[todo])
+    profiles = _grid_profile(log_x, x, log_n, grid)
+    for i, y, profile in zip(todo, log_n, profiles.T):
+        flat = float(profile.max() - profile.min()) <= max(
+            1e-6 * float(profile.min()), 1e-12
+        )
+        c_hat, solve = _profile_minimum(grid, profile, partial(_inner_solve, log_x, x, y))
+        if solve.rank < 3:
+            results[i] = DegenerateDesignError(
+                "degenerate design: distance layout leaves the model underdetermined"
+            )
+            continue
+        results[i] = DispersionFit(
+            a=float(solve.coef[0]),
+            b=float(solve.coef[1]),
+            c=c_hat,
+            d=float(solve.coef[2]),
+            rss_log=solve.rss,
+            n_used=len(x),
+            profile_flat=bool(flat),
+        )
+    return results
+
+
+def _c_grid(x: np.ndarray, c_interval: tuple[float, float]) -> np.ndarray:
+    """The 161 values of c searched at distances ``x``.
+
+    The interval's lower end is open: values at or below 0 are clipped to
+    1e-6, below which x^c is indistinguishable from the intercept anyway.
+    An upper end at which max(x)^c overflows, or with every distance below 1
+    underflows below the smallest normal float, is lowered to the largest c
+    for which it is a normal float.
+    """
     if len(np.unique(x)) < 4:
         raise DegenerateDesignError(
             "degenerate design: need at least 4 distinct distances"
@@ -204,33 +292,30 @@ def fit_dispersion(
             leaves = "overflows" if x_top > 1 else "underflows"
             raise DegenerateDesignError(f"degenerate design: x**c {leaves} at c = {lo:g}")
         hi = _last_normal_c(x_top, lo, hi)
+    return np.linspace(lo, hi, _GRID_POINTS)
 
-    log_x = np.log(x)
-    log_n = np.log(n)
 
-    grid = np.linspace(lo, hi, _GRID_POINTS)
-    profile = _grid_profile(log_x, x, log_n, grid)
-    flat = float(profile.max() - profile.min()) <= max(
-        1e-6 * float(profile.min()), 1e-12
-    )
+def fit_dispersion(
+    xs: list[float],
+    ns: list[float],
+    c_interval: tuple[float, float] = (0.0, 5.0),
+) -> DispersionFit:
+    """Fit ln N = a + b*x^c + d*ln x by a one-dimensional profile over c.
 
-    c_hat = _profile_minimum(
-        grid, profile, lambda c: _inner_solve(log_x, x, log_n, c)[1]
-    )
-    coef, rss, rank = _inner_solve(log_x, x, log_n, c_hat)
-    if rank < 3:
-        raise DegenerateDesignError(
-            "degenerate design: distance layout leaves the model underdetermined"
+    A scan of 161 points over ``c_interval`` (see ``_c_grid`` for its ends)
+    locates the best bracket, then Newton steps with Kaufman's
+    Gauss-Newton curvature pin the minimizer (``_profile_minimum``);
+    (a, b, d) are always the exact linear least-squares solution at the
+    current c. This is ``fit_dispersion_table`` for one species.
+    """
+    if len(xs) != len(ns):
+        raise UsageError(
+            f"distance and abundance lists differ in length ({len(xs)} vs {len(ns)})"
         )
-    return DispersionFit(
-        a=float(coef[0]),
-        b=float(coef[1]),
-        c=float(c_hat),
-        d=float(coef[2]),
-        rss_log=rss,
-        n_used=len(xs),
-        profile_flat=bool(flat),
-    )
+    result = fit_dispersion_table(xs, [ns], c_interval)[0]
+    if isinstance(result, DataError):
+        raise result
+    return result
 
 
 def predict_dispersion(fit: DispersionFit, x: float) -> float:

@@ -3,8 +3,10 @@
 The variance-mean relation V = a*M^b is fitted two ways: ordinary least
 squares on ln V = ln a + b ln M, and least squares on the raw pairs by a
 profile over b alone, a being solved exactly at each b (variable
-projection); that fit is ``converged`` only when the profile's minimum
-lies inside its bracket and the profile is not flat. The fitted exponent
+projection, Golub & Pereyra 1973), scanned on a grid and finished by
+safeguarded Newton steps on the profile's exact derivatives; that fit is
+``converged`` only when the profile's minimum lies inside its bracket and
+the profile is not flat. The fitted exponent
 drives the classical taxonomy: slopes above 1 indicate aggregation, below
 1 regularity, and a slope indistinguishable from 1 randomness.
 "Indistinguishable" is decided by a two-sided t-test on the slope at a
@@ -38,8 +40,8 @@ _RATIO_TOL = 1e-9
 _HALF_LN_PI = 0.5 * math.log(math.pi)
 _B_GRID_POINTS = 161
 _B_HALF_WIDTH = 3.0
-_GOLDEN_TOL = 1e-8
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_NEWTON_RTOL = 1e-11
+_NEWTON_STEPS = 30
 
 
 @dataclass(frozen=True)
@@ -176,30 +178,47 @@ def fit_log_ols(series: MVSeries, min_pairs: int = 3) -> PowerLawFit:
     )
 
 
-def _profile_minimum(grid: np.ndarray, profile: np.ndarray, objective) -> float:
-    """Minimizer of ``objective``, sampled as ``profile`` on ``grid``.
+def _profile_minimum(grid: np.ndarray, profile: np.ndarray, objective) -> tuple:
+    """Minimizer of a one-dimensional profile sampled as ``profile`` on ``grid``.
 
-    The grid's argmin, one step to either side, brackets a golden-section
-    search run to ``_GOLDEN_TOL``. The grid point is kept when its value is
-    lower than at the refined point, as when the profile is flat to rounding.
+    ``objective(x)`` returns a tuple that starts with the profile's value,
+    slope and curvature at x. Newton steps start at the grid's argmin and
+    stay inside the bracket one grid step to either side: the sign of each
+    slope moves one end of the bracket to the current point, and a step
+    that would leave the bracket, or a curvature that is not positive, is
+    replaced by bisection. A slope pointing out of the grid at a grid edge
+    does not close the bracket: the grid step can hide a lower minimum
+    inside it, and near the c floor of the dispersion fit that slope is
+    rounding noise. The steps stop once one is below ``_NEWTON_RTOL`` of
+    |x|, at a zero slope, or after ``_NEWTON_STEPS``. The grid point is kept
+    when its value is lower than at the last point, as when the profile is
+    flat to rounding. Returns the minimizer and ``objective``'s tuple there.
     """
     best = int(np.argmin(profile))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, len(grid) - 1)]
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    f1, f2 = objective(x1), objective(x2)
-    while hi - lo > _GOLDEN_TOL:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = objective(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = objective(x2)
-    x = float(lo + hi) / 2.0
-    return float(grid[best]) if profile[best] < objective(x) else x
+    lo = float(grid[max(best - 1, 0)])
+    hi = float(grid[min(best + 1, len(grid) - 1)])
+    x = float(grid[best])
+    start = here = objective(x)
+    for _ in range(_NEWTON_STEPS):
+        _, slope, curvature = here[:3]
+        if slope == 0 or math.isnan(slope):  # stationary, or not a number
+            break
+        # The end on the slope's downhill side stays; the other moves to x,
+        # unless x is that end, at a grid edge (see the docstring).
+        if slope > 0 and x > lo:
+            hi = x
+        elif slope < 0 and x < hi:
+            lo = x
+        newton = x - slope / curvature if curvature > 0 else math.nan
+        step = newton if lo < newton < hi else 0.5 * (lo + hi)
+        tol = _NEWTON_RTOL * abs(x)
+        if abs(newton - x) <= tol or abs(step - x) <= tol:
+            break
+        x = step
+        here = objective(x)
+    if here[0] <= start[0]:
+        return x, here
+    return float(grid[best]), start
 
 
 def _raw_profile(b, m: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -215,15 +234,33 @@ def _raw_profile(b, m: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.where(np.isfinite(rss), rss, np.inf), a
 
 
-def _raw_rss(b: float, m: np.ndarray, v: np.ndarray) -> float:
-    """``_raw_profile``'s RSS at one exponent, bit for bit, with less numpy
-    dispatch: the golden-section objective. ``np.power``, not ``**``, whose
-    fast paths for b = 2, 0.5, -1, ... could round differently."""
+def _raw_objective(
+    b: float, m: np.ndarray, v: np.ndarray, log_m: np.ndarray
+) -> tuple[float, float, float, float]:
+    """The profile R(b) = min_a sum((v - a m^b)^2) at one exponent, with its
+    exact first and second derivatives and the a: the Newton objective.
+
+    R is ``_raw_profile``'s RSS bit for bit (``np.power``, not ``**``, whose
+    fast paths for b = 2, 0.5, -1, ... could round differently). With
+    p = m^b, r = v - a p and w = p (ln m - l), where l = sum(p^2 ln m) /
+    sum(p^2) makes w orthogonal to p, R' = -2a r.w is the variable
+    projection gradient, and R'' = 2a^2 w.w - 2a sum(r w (ln m - l))
+    - 2 (r.w)^2 / sum(p^2). As r is orthogonal to p, these equal the
+    plain forms in p ln m, but they do not cancel where one pair's p
+    dwarfs the rest.
+    """
     p = np.power(m, b)
-    a = p @ v / np.einsum("i,i->", p, p)
+    s2 = np.einsum("i,i->", p, p)
+    a = float(p @ v / s2)
     r = v - a * p
     rss = float(np.einsum("i,i->", r, r))
-    return rss if math.isfinite(rss) else math.inf
+    if not math.isfinite(rss):
+        return math.inf, math.nan, math.nan, a
+    d = log_m - float(p @ (p * log_m) / s2)
+    w = p * d
+    rw = float(r @ w)
+    curvature = 2.0 * a * (a * float(w @ w) - float(r @ (w * d))) - 2.0 * rw * rw / s2
+    return rss, -2.0 * a * rw, float(curvature), a
 
 
 def fit_nls(series: MVSeries) -> PowerLawFit:
@@ -231,8 +268,9 @@ def fit_nls(series: MVSeries) -> PowerLawFit:
 
     Pairs with non-positive mean are dropped; zero variances are kept.
     a is solved exactly for each b, so only b is searched: 161 points over
-    the log-space slope +- 3 (1 +- 3 when that fit fails), refined by golden
-    section. ``converged`` is True only when the minimum lies inside that
+    the log-space slope +- 3 (1 +- 3 when that fit fails), refined by Newton
+    steps on the profile's exact derivatives (``_profile_minimum``).
+    ``converged`` is True only when the minimum lies inside that
     bracket and the profile is not flat to one part in 1e6; otherwise b is
     not identified and (a, b) is arbitrary. A profile with no finite value,
     or an a that is not a positive float, raises ``DegenerateDesignError``.
@@ -256,8 +294,10 @@ def fit_nls(series: MVSeries) -> PowerLawFit:
             raise DegenerateDesignError(
                 "degenerate design: the raw-space residuals overflow at every b"
             )
-        b = _profile_minimum(grid, profile, lambda x: _raw_rss(x, m, v))
-        a = float(_raw_profile(b, m, v)[1])
+        log_m = np.log(m)
+        b, (_, _, _, a) = _profile_minimum(
+            grid, profile, lambda x: _raw_objective(x, m, v, log_m)
+        )
         if not 0.0 < a < math.inf:
             raise DegenerateDesignError(
                 f"degenerate design: coefficient a = {a:.6g} is not a positive float"
@@ -269,7 +309,7 @@ def fit_nls(series: MVSeries) -> PowerLawFit:
         resid = v - model
         rss = float(resid @ resid)
         n = len(kept)
-        jac = np.column_stack([model / a, model * np.log(m)])
+        jac = np.column_stack([model / a, model * log_m])
         sigma2 = rss / (n - 2)
         try:
             cov = sigma2 * np.linalg.inv(jac.T @ jac)
@@ -397,7 +437,7 @@ def t_tail_probability(t: float, dof: int) -> float:
             )
         else:  # t*t overflows; dof = 1 reaches p = 1e-300 at |t| = 6e299
             front = (abs(t) / math.sqrt(dof)) ** -dof
-        front *= math.exp(ln_inv_beta)
+        front *= _inv_beta_half(dof)
         p = front / (a * _gauss_fraction(a, 1.0 / u))
     return min(1.0, max(p, 5e-324))
 
@@ -451,28 +491,48 @@ def _ln_gamma_half_ratio(a: float) -> float:
     return 0.5 * math.log(a) + series / a
 
 
+def _inv_beta_half(dof: int) -> float:
+    """1 / B(dof/2, 1/2), with no round trip through a logarithm below
+    dof = 40: k C(2k, k) / 4^k at dof = 2k, correctly rounded, and
+    4^k / (C(2k, k) pi) at dof = 2k + 1, within about an ulp, each a ratio
+    of exact integers. From dof = 40 on, exp of ``_ln_gamma_half_ratio``."""
+    k = dof // 2
+    if dof >= 40:
+        return math.exp(_ln_gamma_half_ratio(dof / 2.0) - _HALF_LN_PI)
+    if dof % 2:
+        return 4**k / math.comb(2 * k, k) / math.pi
+    return k * math.comb(2 * k, k) / 4**k
+
+
 def _gauss_fraction(a: float, w: float) -> float:
     """1 / 2F1(1, 1/2; a+1; -w) by Gauss's continued fraction.
 
     Every partial numerator is positive, so the modified Lentz method
     (Numerical Recipes, 5.2) needs no guard against a zero denominator.
     Past the switch in ``t_tail_probability`` it converges within about
-    140 terms whatever the degrees of freedom.
+    140 terms whatever the degrees of freedom. Lentz's running product
+    gathers one rounding per term, so it only finds the depth; the
+    fraction is then summed backward from there, where each step adds a
+    positive term and the roundings do not pile up.
     """
-    f = c = 1.0
-    d = 0.0
-    for n in range(1, 1000):
+
+    def numerator(n: int) -> float:
         m = n // 2
         if n % 2:
-            e = (a + m) * (m + 0.5) / ((a + 2 * m) * (a + 2 * m + 1)) * w
-        else:
-            e = m * (a + m - 0.5) / ((a + 2 * m - 1) * (a + 2 * m)) * w
+            return (a + m) * (m + 0.5) / ((a + 2 * m) * (a + 2 * m + 1)) * w
+        return m * (a + m - 0.5) / ((a + 2 * m - 1) * (a + 2 * m)) * w
+
+    c = 1.0
+    d = 0.0
+    for depth in range(1, 1000):
+        e = numerator(depth)
         d = 1.0 / (1.0 + e * d)
         c = 1.0 + e / c
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 4e-16:
+        if abs(c * d - 1.0) < 4e-16:
             break
+    f = 1.0
+    for n in range(depth, 0, -1):
+        f = 1.0 + numerator(n) / f
     return f
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taylorlaw import (
+    DataError,
     DegenerateDesignError,
     DeltaParams,
     DispersionFit,
@@ -18,6 +19,7 @@ from taylorlaw import (
     delta_displacement,
     delta_equilibrium,
     fit_dispersion,
+    fit_dispersion_table,
     predict_dispersion,
 )
 from taylorlaw import dispersion
@@ -104,8 +106,9 @@ class TestDispersionFit:
 
 
 def loop_profile(log_x, x, log_n, grid):
-    """The profile as one ``_inner_solve`` per grid point: the exact oracle."""
-    return np.array([_inner_solve(log_x, x, log_n, c)[1] for c in grid])
+    """The profiles as one ``_inner_solve`` per species and grid point: the
+    exact oracle."""
+    return np.array([[_inner_solve(log_x, x, y, c).rss for y in log_n] for c in grid])
 
 
 def fit_or_error(xs, ns, c_interval):
@@ -169,7 +172,80 @@ class TestGridProfile:
         ) as solve:
             fit = fit_dispersion(list(x), list(ns))
         assert fit.c == pytest.approx(1.3, abs=1e-6)
-        assert solve.call_count <= 50
+        assert solve.call_count <= 15
+
+
+def outcome(result):
+    """A fit, or an error as its type and message (exceptions do not
+    compare by value)."""
+    if isinstance(result, Exception):
+        return type(result), str(result)
+    return result
+
+
+def loop_outcomes(xs, table, c_interval):
+    outcomes = []
+    for ns in table:
+        try:
+            outcomes.append(fit_dispersion(xs, ns, c_interval))
+        except DataError as exc:
+            outcomes.append(outcome(exc))
+    return outcomes
+
+
+@st.composite
+def location_rows(draw):
+    """(xs, table, c_interval): one distance row shared by decaying, noisy,
+    constant and zero-count species, sometimes every distance below 1, and
+    sometimes too few distances for any fit."""
+    n = draw(st.integers(3, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        x = np.sort(rng.uniform(0.01, 0.99, n))
+    else:
+        x = np.cumsum(rng.uniform(0.5, 1.5, n))
+    rows = []
+    for kind in draw(
+        st.lists(st.sampled_from(["decay", "noisy", "constant", "zero"]), min_size=1, max_size=6)
+    ):
+        c = rng.uniform(0.3, 3.0)
+        ln_n = 3.0 - rng.uniform(0.5, 4.0) * (x / x.max()) ** c + rng.uniform(-1, 1) * np.log(x)
+        if kind == "noisy":
+            ln_n += rng.normal(0, 0.05, n)
+        elif kind == "constant":
+            ln_n = np.full(n, 2.0)
+        row = np.exp(ln_n)
+        if kind == "zero":
+            row[rng.integers(n)] = 0.0
+        rows.append([float(v) for v in row])
+    c_interval = draw(st.sampled_from([(0.0, 5.0), (0.0, 0.3), (2.0, 5.0), (0.0, 1e308)]))
+    return [float(v) for v in x], rows, c_interval
+
+
+class TestDispersionTable:
+    @settings(max_examples=150, deadline=None)
+    @given(location_rows())
+    def test_equals_one_fit_per_species(self, table):
+        xs, rows, c_interval = table
+        results = fit_dispersion_table(xs, rows, c_interval)
+        assert [outcome(r) for r in results] == loop_outcomes(xs, rows, c_interval)
+
+    @settings(max_examples=50, deadline=None)
+    @given(location_rows())
+    def test_stacked_grid_equals_the_lstsq_loop(self, table):
+        xs, rows, c_interval = table
+        results = fit_dispersion_table(xs, rows, c_interval)
+        with mock.patch.object(dispersion, "_grid_profile", loop_profile):
+            reference = fit_dispersion_table(xs, rows, c_interval)
+        assert [outcome(r) for r in results] == [outcome(r) for r in reference]
+
+    def test_errors_stay_per_species(self):
+        xs = [0.5, 1.0, 2.0, 4.0, 8.0]
+        rows = [[120, 60, 25, 9, 2], [3, 0, 1, 1, 1], [5, 5, 5, 5, 5]]
+        fits = fit_dispersion_table(xs, rows)
+        assert fits[0] == fit_dispersion(xs, rows[0])
+        assert isinstance(fits[1], DomainError)
+        assert fits[2].profile_flat
 
 
 class TestDispersionErrors:

@@ -10,6 +10,7 @@ independent check on the hand-rolled minimizer.
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -27,17 +28,21 @@ from taylorlaw import (
     MVSeries,
     PacdResult,
     PowerLawFit,
+    Scheme,
     UsageError,
     classify_at_density,
     classify_from_params,
+    extract_pairs,
     fit_log_ols,
     fit_nls,
     pacd,
     pacd_from_params,
+    parse_cross_sectional,
     t_tail_probability,
 )
+from taylorlaw import fitting
 from taylorlaw._fmt import sig12
-from taylorlaw.fitting import _raw_profile, _raw_rss
+from taylorlaw.fitting import _raw_objective, _raw_profile
 
 
 def two_sided_tail_by_quadrature(t: float, dof: int) -> float:
@@ -167,6 +172,17 @@ def test_power_form_prints_the_mpmath_digits(t, dof, printed):
     assert abs(got - expected) / expected <= 1.5e-15  # a few ulps
 
 
+def test_fraction_form_prints_the_mpmath_digits():
+    # Below t^2/dof = 1.5/(dof/2 + 1) the tail is a Gauss continued fraction
+    # times 1/B(dof/2, 1/2). A forward Lentz product and a log/exp round trip
+    # of 1/B left this point 6.3e-16 high, printing ...214.
+    t, dof = 2.4010900133380075, 4
+    expected = tail_by_incomplete_beta(t, dof)
+    got = t_tail_probability(t, dof)
+    assert sig12(float(expected)) == sig12(got) == "0.0742684799213"
+    assert abs(got - expected) <= 2 * math.ulp(got)
+
+
 @pytest.mark.parametrize("dof", [1, 2])
 @pytest.mark.parametrize("ln2_t", [470, 479.9, 480, 499])
 def test_tail_where_t_squared_nears_overflow(ln2_t, dof):
@@ -294,6 +310,19 @@ class TestNls:
         assert fit.converged
         assert 1.0 < fit.b < 2.0
 
+    def test_exact_fit_through_a_subnormal_mean_reaches_rounding_level(self):
+        # One subject's mean is subnormal; the other two pairs lie exactly on
+        # a power law, so the attainable RSS is at rounding level and se_b
+        # with it. A finish that stops at a 1e-8 bracket left 1.0e-17 and
+        # 2.6e-9.
+        table = parse_cross_sectional(
+            "subject_id,sp1,sp2,sp3\ns1,1e-310,0,0\ns2,1,3,2\ns3,4,10,7\n"
+        )
+        fit = fit_nls(extract_pairs(table, Scheme("subjects_across_species")))
+        assert fit.converged
+        assert fit.rss_raw <= 1e-28
+        assert fit.se_b <= 1e-13
+
     def test_matches_reference_optimizer_on_noisy_data(self):
         from scipy.optimize import curve_fit
 
@@ -343,7 +372,7 @@ class TestNlsProfileOracle:
             series = series_of(*zip(ms.tolist(), vs.tolist()))
             fit = fit_nls(series)
             scan = brute_force_nls_scan(series)
-            assert fit.rss_raw <= scan.min() * (1 + 1e-9), case
+            assert fit.rss_raw <= scan.min() * (1 + 4 * np.finfo(float).eps), case
             at_end = int(np.argmin(scan)) in (0, scan.size - 1)
             flat = np.ptp(scan) <= 1e-6 * scan.min()
             assert fit.converged is not (at_end or flat), case
@@ -351,6 +380,22 @@ class TestNlsProfileOracle:
             flat_cases += bool(flat)
         # Both ways of failing to identify b occur: flat and at an end.
         assert flat_cases >= 25 and unconverged - flat_cases >= 20
+
+    def test_newton_finish_takes_few_evaluations(self):
+        # 5 to 40 noisy pairs: from the grid's argmin, the exact derivatives
+        # reach a relative step of 1e-11 in a handful of evaluations.
+        rng = np.random.default_rng(20261019)
+        counts = []
+        for _ in range(200):
+            k = int(rng.integers(5, 41))
+            ms = np.exp(rng.uniform(-2.0, 6.0, k))
+            vs = 1.7 * ms ** rng.uniform(1.0, 2.5) * rng.lognormal(0.0, 0.3, k)
+            with mock.patch.object(
+                fitting, "_raw_objective", wraps=_raw_objective
+            ) as objective:
+                fit_nls(series_of(*zip(ms.tolist(), vs.tolist())))
+            counts.append(objective.call_count)
+        assert np.median(counts) <= 6
 
 
 @st.composite
@@ -365,7 +410,7 @@ def raw_pairs(draw):
 
 
 class TestNlsGoldenObjective:
-    """The golden steps' scalar RSS is the grid's, bit for bit."""
+    """The Newton steps' scalar RSS is the grid's, bit for bit."""
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -380,7 +425,7 @@ class TestNlsGoldenObjective:
         m, v = pairs
         with np.errstate(all="ignore"):
             expected = float(_raw_profile(b, m, v)[0])
-            assert _raw_rss(b, m, v).hex() == expected.hex()
+            assert _raw_objective(b, m, v, np.log(m))[0].hex() == expected.hex()
 
 
 class TestCrossoverDensity:
