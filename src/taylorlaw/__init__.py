@@ -4,20 +4,12 @@ The package quantifies how unevenly abundance is spread by fitting the
 mean-variance power law V = a*M^b across communities, converting the fit
 into an aggregation critical density and an aggregated/random/regular
 call, and validating the whole chain against simulated spatial point
-patterns with known answers. Distance-decay models and a pair correlation
+patterns with known answers. A distance-decay model and a pair correlation
 estimator round out the toolkit; the ``taylorlaw`` console script exposes
 everything on files.
 """
 
-from .dispersion import (
-    DeltaParams,
-    DispersionFit,
-    delta_displacement,
-    delta_equilibrium,
-    fit_dispersion,
-    fit_dispersion_table,
-    predict_dispersion,
-)
+from .dispersion import DispersionFit, fit_dispersion, fit_dispersion_table
 from .errors import (
     DataError,
     DegenerateDesignError,
@@ -41,7 +33,6 @@ from .fitting import (
     PacdResult,
     PowerLawFit,
     classify,
-    classify_at_density,
     classify_from_params,
     fit_log_ols,
     fit_nls,
@@ -84,7 +75,6 @@ __all__ = [
     "Classification",
     "DataError",
     "DegenerateDesignError",
-    "DeltaParams",
     "DispersionFit",
     "DomainError",
     "EXPERIMENT_KINDS",
@@ -107,10 +97,7 @@ __all__ = [
     "UsageError",
     "build_fit_report",
     "classify",
-    "classify_at_density",
     "classify_from_params",
-    "delta_displacement",
-    "delta_equilibrium",
     "derive_seed",
     "emit_svg_plot",
     "estimate_pcf",
@@ -130,7 +117,6 @@ __all__ = [
     "parse_cross_sectional",
     "parse_location",
     "parse_longitudinal",
-    "predict_dispersion",
     "quadrat_counts",
     "run",
     "sample_variance",

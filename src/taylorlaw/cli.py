@@ -21,6 +21,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -285,7 +286,10 @@ def _load_table(path: str) -> AbundanceTable:
     header = None
     for line in text.splitlines():
         if line.strip() and not _is_comment(line):
-            header = next(csv.reader([line]))
+            try:
+                header = next(csv.reader([line]))
+            except csv.Error:
+                pass  # the parser reports it with its line number
             break
     if header is not None and len(header) > 1 and header[1].strip() == "time":
         return parse_longitudinal(text)
@@ -476,6 +480,13 @@ def run(config: RunConfig) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only -2 and -0.2 for negative numbers, so "--b -2e-1"
+        # would read -2e-1 as a flag; -2e-1, -1E+3, -inf, -nan and a --levels
+        # list such as -1e3,2 are values too.
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
     # argparse exits with status 2 on bad usage; this toolkit reserves 2
     # for data errors, so usage problems must exit 1 instead.
     def error(self, message):

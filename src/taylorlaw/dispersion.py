@@ -1,14 +1,10 @@
-"""Distance-dependent abundance models.
+"""Distance-dependent abundance.
 
-Two small models for how abundance changes with distance from a source:
-
-* a decay law ln N = a + b*x^c + d*ln x fitted to (distance, abundance)
-  data by profiling the inner exponent c, with the remaining parameters
-  solved exactly by linear least squares at each candidate c: a grid
-  whose designs are factored once per distance row, so once for a whole
-  location table, then Newton steps with a Gauss-Newton curvature;
-* a displacement rule delta = epsilon*[(r0/R)^s - (r0/R)^t] whose single
-  positive equilibrium sits at R = r0.
+A decay law ln N = a + b*x^c + d*ln x is fitted to (distance, abundance)
+data by profiling the inner exponent c, with the remaining parameters
+solved exactly by linear least squares at each candidate c: a grid whose
+designs are factored once per distance row, so once for a whole location
+table, then Newton steps with a Gauss-Newton curvature.
 
 The c profile over a bounded interval can be flat in two well-known ways:
 as c -> 0 the b*x^c term collapses into the intercept, and data that is an
@@ -66,22 +62,6 @@ class DispersionFit:
             raise ValueError("a dispersion fit needs at least 4 points")
         if self.rss_log < 0:
             raise ValueError("rss_log must be non-negative")
-
-
-@dataclass(frozen=True)
-class DeltaParams:
-    """Displacement rule delta(R) = epsilon*[(r0/R)^s - (r0/R)^t]."""
-
-    epsilon: float
-    s: float
-    t: float
-    r0: float
-
-    def __post_init__(self):
-        if not self.r0 > 0:
-            raise ValueError("r0 must be positive")
-        if self.s == self.t:
-            raise ValueError("exponents s and t must differ")
 
 
 class _Solve(NamedTuple):
@@ -317,22 +297,3 @@ def fit_dispersion(
         raise result
     return result
 
-
-def predict_dispersion(fit: DispersionFit, x: float) -> float:
-    """Abundance exp(a + b*x^c + d*ln x) at distance x > 0."""
-    if not x > 0:
-        raise DomainError("distance must be positive")
-    return math.exp(fit.a + fit.b * x**fit.c + fit.d * math.log(x))
-
-
-def delta_displacement(p: DeltaParams, big_r: float) -> float:
-    """Displacement at range ``big_r``; zero exactly at big_r = r0."""
-    if not big_r > 0:
-        raise DomainError("range must be positive")
-    ratio = p.r0 / big_r
-    return p.epsilon * (ratio**p.s - ratio**p.t)
-
-
-def delta_equilibrium(p: DeltaParams) -> float:
-    """The unique positive root of the displacement rule, which is r0."""
-    return p.r0

@@ -13,8 +13,7 @@ drives the classical taxonomy: slopes above 1 indicate aggregation, below
 caller-chosen significance level.
 
 The aggregation critical density m0 = exp(ln a / (1 - b)) is the density
-at which variance equals the mean; a density-aware classification based on
-the ratio V/M = a*density^(b-1) is provided alongside the slope test.
+at which variance equals the mean.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from .extraction import MVPair, MVSeries
 PATTERNS = ("aggregated", "random", "regular")
 
 _B_ONE_TOL = 1e-9
-_RATIO_TOL = 1e-9
 _HALF_LN_PI = 0.5 * math.log(math.pi)
 _B_GRID_POINTS = 161
 _B_HALF_WIDTH = 3.0
@@ -382,21 +380,6 @@ def classify_from_params(
 
 def classify(fit: PowerLawFit, alpha: float = 0.05) -> Classification:
     return classify_from_params(fit.b, fit.se_b, fit.n_used, alpha)
-
-
-def classify_at_density(fit: PowerLawFit, density: float) -> str:
-    """Density-dependent pattern call from the variance-to-mean ratio.
-
-    The fitted law forces V/M = a*density^(b-1), so the pattern at a given
-    density is decided by whether that ratio exceeds 1; the crossover sits
-    exactly at the critical density m0.
-    """
-    if not density > 0:
-        raise DomainError("density must be positive")
-    ratio = fit.a * density ** (fit.b - 1.0)
-    if abs(ratio - 1.0) <= _RATIO_TOL:
-        return "random"
-    return "aggregated" if ratio > 1.0 else "regular"
 
 
 def t_tail_probability(t: float, dof: int) -> float:

@@ -122,11 +122,6 @@ class AbundanceTable:
             and np.array_equal(self.counts, other.counts)
         )
 
-    def to_csv(self) -> str:
-        if self.times is None:
-            return format_cross_sectional(self)
-        return format_longitudinal(self)
-
 
 @dataclass(frozen=True, eq=False)
 class LocationTable:
@@ -169,9 +164,6 @@ class LocationTable:
             and np.array_equal(self.counts, other.counts)
         )
 
-    def to_csv(self) -> str:
-        return format_location(self)
-
 
 def _is_comment(line: str) -> bool:
     if not line.startswith("#"):
@@ -192,7 +184,14 @@ def _data_lines(text: Union[str, IO[str], Iterable[str]]) -> list[tuple[int, lis
     ]
     if not numbered:
         raise ParseError("empty input: no header line")
-    parsed = list(csv.reader(line for _, line in numbered))
+    reader = csv.reader(line for _, line in numbered)
+    try:
+        parsed = list(reader)
+    except csv.Error as exc:
+        # A field over the csv module's size limit, or on Python 3.10 a NUL
+        # byte. The limit is process-wide state, so it is left as it is.
+        line_no = numbered[reader.line_num - 1][0]
+        raise ParseError(f"line {line_no}: malformed CSV: {exc}") from None
     if len(parsed) != len(numbered):
         raise ParseError("malformed CSV: embedded newline in quoted field")
     return [(num, fields) for (num, _), fields in zip(numbered, parsed)]

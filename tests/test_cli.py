@@ -1,6 +1,7 @@
 """Command-line behavior: validation, report schemas, exit codes, determinism."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -729,6 +730,32 @@ class TestHostileInput:
         assert (rc, out) == (2, "")
         assert err == f"error: {path}: not UTF-8 text: byte 0xe9 at offset 14\n"
 
+    # One cell past the csv module's default field size limit, in a data row
+    # of each layout and in a header.
+    @pytest.mark.parametrize(
+        "lines, line_no",
+        [
+            (["subject_id,sp1,sp2", "a,1,{big}"], 2),
+            (["subject_id,time,sp1", "a,0,{big}"], 2),
+            (["species,s1,s2,s3,s4", "sp,{big},1,2,3"], 2),
+            (["subject_id,sp{big}", "a,1"], 1),
+            (["# note", "subject_id,time,sp{big}", "a,0,1"], 2),
+        ],
+    )
+    def test_oversized_field_is_a_parse_error(self, capsys, tmp_path, lines, line_no):
+        limit = csv.field_size_limit()
+        path = tmp_path / "big.csv"
+        path.write_text("\n".join(lines).format(big="9" * (limit + 1)) + "\n")
+        if lines[0].startswith("species"):
+            argv = ["fit-dispersion"]
+        else:
+            argv = ["fit-taylor", "--scheme", "subjects_across_species"]
+        rc, out, err = run_hostile(capsys, [*argv, "--input", str(path)])
+        assert (rc, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: line {line_no}: malformed CSV: ")
+        assert csv.field_size_limit() == limit
+
     # Each size is rejected before anything is drawn or allocated.
     @pytest.mark.parametrize(
         "argv",
@@ -1049,6 +1076,30 @@ class TestArgumentParsing:
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "--kind", "poisson_sweep", "--levels", "a,b"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["pacd", "--a", "2"], "--b", "-2e-1"),
+            (["pacd", "--a", "2"], "--b", "-1E+3"),
+            (["pacd", "--a", "2"], "--b", "-inf"),
+            (["pacd", "--a", "2"], "--b", "-nan"),
+            (["experiment", "--kind", "poisson_sweep"], "--levels", "-1e3,2"),
+        ],
+    )
+    def test_negative_value_reads_as_in_the_equals_form(
+        self, capsys, argv, flag, value
+    ):
+        def outcome(args):
+            try:
+                rc = main(args)
+            except SystemExit as exc:
+                rc = exc.code
+            return (rc, *capsys.readouterr())
+
+        spaced = outcome([*argv, flag, value])
+        assert spaced == outcome([*argv, f"{flag}={value}"])
+        assert "expected one argument" not in spaced[2]
 
 
 class TestRenderReport:

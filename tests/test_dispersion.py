@@ -1,4 +1,4 @@
-"""Distance-decay fits and the displacement rule."""
+"""Distance-decay fits."""
 
 import math
 from unittest import mock
@@ -11,16 +11,12 @@ from hypothesis import strategies as st
 from taylorlaw import (
     DataError,
     DegenerateDesignError,
-    DeltaParams,
     DispersionFit,
     DomainError,
     InsufficientDataError,
     UsageError,
-    delta_displacement,
-    delta_equilibrium,
     fit_dispersion,
     fit_dispersion_table,
-    predict_dispersion,
 )
 from taylorlaw import dispersion
 from taylorlaw.dispersion import _C_FLOOR, _inner_solve, _last_normal_c
@@ -296,33 +292,6 @@ class TestDispersionErrors:
             fit_dispersion([1.0, 2.0, 3.0, 4.0, 5.0], ns)
 
 
-class TestPredictDispersion:
-    UNIT = DispersionFit(
-        a=0.0, b=0.0, c=1.0, d=0.0, rss_log=0.0, n_used=4, profile_flat=True
-    )
-    INVERSE_SQUARE = DispersionFit(
-        a=0.0, b=0.0, c=1.0, d=-2.0, rss_log=0.0, n_used=4, profile_flat=True
-    )
-
-    def test_flat_unit_abundance(self):
-        assert predict_dispersion(self.UNIT, 7.3) == 1.0
-
-    def test_inverse_square_at_three(self):
-        assert predict_dispersion(self.INVERSE_SQUARE, 3.0) == pytest.approx(
-            1 / 9, rel=1e-14
-        )
-
-    def test_round_trips_the_generating_model(self):
-        ns = np.exp(2.0 - 0.8 * XS**1.3 + 0.5 * np.log(XS))
-        fit = fit_dispersion(list(XS), list(ns))
-        for x, n in zip(XS, ns):
-            assert predict_dispersion(fit, float(x)) == pytest.approx(n, rel=1e-6)
-
-    def test_non_positive_distance_rejected(self):
-        with pytest.raises(DomainError, match="positive"):
-            predict_dispersion(self.UNIT, 0.0)
-
-
 class TestFitInvariants:
     def test_non_positive_c_rejected(self):
         with pytest.raises(ValueError, match="must be positive"):
@@ -341,61 +310,3 @@ class TestFitInvariants:
             DispersionFit(
                 a=0.0, b=0.0, c=1.0, d=0.0, rss_log=-1.0, n_used=4, profile_flat=False
             )
-
-
-class TestDisplacement:
-    def test_zero_exactly_at_r0(self):
-        p = DeltaParams(epsilon=1.0, s=2.0, t=1.0, r0=1.0)
-        assert delta_displacement(p, 1.0) == 0.0
-
-    def test_hand_value_inside_r0(self):
-        p = DeltaParams(epsilon=1.0, s=2.0, t=1.0, r0=1.0)
-        # ratio = 2: 2^2 - 2^1 = 2
-        assert delta_displacement(p, 0.5) == 2.0
-
-    def test_decays_far_out(self):
-        p = DeltaParams(epsilon=1.0, s=2.0, t=1.0, r0=1.0)
-        far = delta_displacement(p, 1e6)
-        assert far < 0
-        assert abs(far) < 2e-6
-
-    def test_equilibrium_is_r0(self):
-        p = DeltaParams(epsilon=0.8, s=2.0, t=0.5, r0=3.5)
-        assert delta_equilibrium(p) == 3.5
-
-    def test_opposite_signs_around_equilibrium(self):
-        p = DeltaParams(epsilon=0.8, s=2.0, t=0.5, r0=3.5)
-        inside = delta_displacement(p, p.r0 / 2)
-        outside = delta_displacement(p, 2 * p.r0)
-        assert inside > 0 > outside
-
-    def test_non_positive_range_rejected(self):
-        p = DeltaParams(epsilon=1.0, s=2.0, t=1.0, r0=1.0)
-        with pytest.raises(DomainError, match="positive"):
-            delta_displacement(p, 0.0)
-
-    def test_r0_must_be_positive(self):
-        with pytest.raises(ValueError, match="r0"):
-            DeltaParams(epsilon=1.0, s=2.0, t=1.0, r0=0.0)
-
-    def test_equal_exponents_rejected(self):
-        with pytest.raises(ValueError, match="differ"):
-            DeltaParams(epsilon=1.0, s=2.0, t=2.0, r0=1.0)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        epsilon=st.floats(min_value=0.01, max_value=10).flatmap(
-            lambda e: st.sampled_from([e, -e])
-        ),
-        s=st.floats(min_value=0.3, max_value=8.0),
-        gap=st.floats(min_value=0.1, max_value=4.0),
-        r0=st.floats(min_value=1e-3, max_value=1e3),
-    )
-    def test_sign_changes_exactly_once(self, epsilon, s, gap, r0):
-        """With s > t > 0 the displacement crosses zero only at r0."""
-        t = s * gap / (gap + s)  # 0 < t < s
-        p = DeltaParams(epsilon=epsilon, s=s, t=t, r0=r0)
-        grid = r0 * np.exp(np.linspace(-3, 3, 60))  # never hits r0 itself
-        signs = [math.copysign(1.0, delta_displacement(p, float(r))) for r in grid]
-        changes = sum(1 for u, v in zip(signs, signs[1:]) if u != v)
-        assert changes == 1

@@ -30,7 +30,6 @@ from taylorlaw import (
     PowerLawFit,
     Scheme,
     UsageError,
-    classify_at_density,
     classify_from_params,
     extract_pairs,
     fit_log_ols,
@@ -549,52 +548,6 @@ class TestClassification:
             assert cl.pattern == "aggregated"
         else:
             assert cl.pattern == "regular"
-
-
-class TestClassifyAtDensity:
-    FIT = PowerLawFit(
-        a=2.0,
-        b=1.5,
-        se_ln_a=0.1,
-        se_b=0.1,
-        r_squared=0.99,
-        n_used=10,
-        n_dropped=0,
-        method="log_ols",
-    )
-
-    def test_above_crossover_aggregated(self):
-        assert classify_at_density(self.FIT, 1.0) == "aggregated"
-
-    def test_at_crossover_random(self):
-        assert classify_at_density(self.FIT, 0.25) == "random"
-
-    def test_below_crossover_regular(self):
-        assert classify_at_density(self.FIT, 0.01) == "regular"
-
-    def test_non_positive_density_rejected(self):
-        with pytest.raises(DomainError, match="positive"):
-            classify_at_density(self.FIT, 0.0)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        ln_a=st.floats(min_value=-4, max_value=4),
-        b=st.floats(min_value=1.05, max_value=2.8),
-    )
-    def test_crossover_density_always_reads_random(self, ln_a, b):
-        fit = PowerLawFit(
-            a=math.exp(ln_a),
-            b=b,
-            se_ln_a=0.1,
-            se_b=0.1,
-            r_squared=0.9,
-            n_used=10,
-            n_dropped=0,
-            method="log_ols",
-        )
-        m0 = pacd_from_params(fit.a, fit.b).m0
-        assume(m0 is not None and 1e-300 < m0 < 1e300)
-        assert classify_at_density(fit, m0) == "random"
 
 
 class TestFitInvariants:

@@ -245,12 +245,6 @@ class TestRoundTrip:
         table = parse_location(text)
         assert parse_location(format_location(table)) == table
 
-    def test_to_csv_dispatch(self):
-        cs = parse_cross_sectional("subject_id,sp1\na,1\n")
-        assert parse_cross_sectional(cs.to_csv()) == cs
-        lg = parse_longitudinal("subject_id,time,sp1\na,0,1\n")
-        assert parse_longitudinal(lg.to_csv()) == lg
-
     def test_hash_subject_round_trip(self):
         # Formatting must protect first fields that would read back as
         # comments or be ambiguous.
