@@ -87,7 +87,7 @@ class MVSeries:
         if len(set(labels)) != len(labels):
             raise ValueError("pair labels must be unique within a series")
         for p in self.pairs:
-            if not (np.isfinite(p.mean) and np.isfinite(p.variance)):
+            if not (math.isfinite(p.mean) and math.isfinite(p.variance)):
                 raise ValueError(f"non-finite pair {p.label!r}")
             if p.mean < 0 or p.variance < 0:
                 raise ValueError(f"negative mean or variance in pair {p.label!r}")

@@ -21,6 +21,13 @@ serializers quote a leading field that would otherwise look like a comment.
 Counts are accepted as any non-negative finite real, not just integers, so
 that tables produced by time-series mean conversion reuse the same type.
 Missing cells (``NA`` and friends) are rejected, never imputed.
+
+A table's count block is converted in one ``np.loadtxt`` when splitting
+each line on commas gives the fields ``csv.reader`` would: no quote, no NUL
+byte and no field over the csv size limit. The checked reader, one csv
+split and one conversion per row, reads every other table and any table
+that fails a check there, so that its error names the first bad line and
+cell in file order. Both routes give the same table, bit for bit.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from __future__ import annotations
 import csv
 import io
 import re
+import warnings
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date
@@ -172,18 +180,22 @@ def _is_comment(line: str) -> bool:
     return rest == "" or rest[0] in " \t#"
 
 
-def _data_lines(text: Union[str, IO[str], Iterable[str]]) -> list[tuple[int, list[str]]]:
-    """Strip comments/blank lines, CSV-split the rest, keep 1-based line numbers."""
+def _numbered_lines(text: Union[str, IO[str], Iterable[str]]) -> list[tuple[int, str]]:
+    """Drop comment and blank lines, keeping each line's 1-based number."""
     if not isinstance(text, str):
         text = "\n".join(line.rstrip("\r\n") for line in text)
-    lines = text.splitlines()
     numbered = [
         (i, line)
-        for i, line in enumerate(lines, start=1)
+        for i, line in enumerate(text.splitlines(), start=1)
         if line.strip() and not _is_comment(line)
     ]
     if not numbered:
         raise ParseError("empty input: no header line")
+    return numbered
+
+
+def _data_lines(numbered: list[tuple[int, str]]) -> list[tuple[int, list[str]]]:
+    """CSV-split the numbered lines."""
     reader = csv.reader(line for _, line in numbered)
     try:
         parsed = list(reader)
@@ -195,6 +207,18 @@ def _data_lines(text: Union[str, IO[str], Iterable[str]]) -> list[tuple[int, lis
     if len(parsed) != len(numbered):
         raise ParseError("malformed CSV: embedded newline in quoted field")
     return [(num, fields) for (num, _), fields in zip(numbered, parsed)]
+
+
+def _splits_like_csv(numbered: list[tuple[int, str]]) -> bool:
+    """Whether ``str.split(",")`` gives every line the fields ``csv.reader``
+    gives: no quote, no NUL, and no field over the csv size limit."""
+    limit = csv.field_size_limit()
+    return not any(
+        '"' in line
+        or "\0" in line
+        or (len(line) > limit and max(map(len, line.split(","))) > limit)
+        for _, line in numbered
+    )
 
 
 def _parse_count(cell: str, line_no: int, column: str) -> float:
@@ -274,6 +298,103 @@ def _read_rows(
     return ids, counts
 
 
+def _read_distances(
+    line_no: int, fields: list[str], labels: tuple[str, ...]
+) -> tuple[float, ...]:
+    """Check and convert a location table's ``distance`` row."""
+    if len(fields) != 1 + len(labels):
+        raise ParseError(
+            f"line {line_no}: expected {1 + len(labels)} fields, got {len(fields)}"
+        )
+    parsed: list[float] = []
+    for cell in fields[1:]:
+        try:
+            value = float(cell.strip())
+        except ValueError:
+            raise ParseError(f"line {line_no}: non-numeric distance {cell!r}") from None
+        if not np.isfinite(value) or value <= 0:
+            raise ParseError(f"line {line_no}: distances must be positive")
+        if parsed and value <= parsed[-1]:
+            raise ParseError(f"line {line_no}: distances must increase")
+        parsed.append(value)
+    return tuple(parsed)
+
+
+def _read_block(
+    lines: list[tuple[int, str]], n_lead: int, n_cols: int, unique: bool
+):
+    """Convert the data lines of a table that splits like csv in one
+    ``np.loadtxt``.
+
+    Each line is split into its ``n_lead`` lead fields and the rest, and all
+    the rests are converted at once. Returns each row as its line number and
+    fields (the lead fields, then the rest), the stripped ids and the count
+    matrix; or None when the block is ragged, fails to convert, warns, holds
+    a non-finite or negative value, or repeats an id that must be unique.
+    """
+    data = [(line_no, line.split(",", n_lead)) for line_no, line in lines]
+    if not data or any(len(fields) != n_lead + 1 for _, fields in data):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts = np.loadtxt(
+                [fields[-1] for _, fields in data],
+                delimiter=",",
+                comments=None,
+                dtype=float,
+                ndmin=2,
+            )
+    except (ValueError, Warning):
+        return None
+    ids = [fields[0].strip() for _, fields in data]
+    if (
+        counts.shape != (len(data), n_cols)
+        or not np.isfinite(counts).all()
+        or (counts < 0).any()
+        or (unique and len(set(ids)) != len(ids))
+    ):
+        return None
+    return data, ids, counts
+
+
+def _read_table(
+    text: Union[str, IO[str], Iterable[str]],
+    lead: Sequence[str],
+    unique: bool,
+    distance_row: bool = False,
+):
+    """Read the header, the optional ``distance`` row and the count rows.
+
+    Returns the column names, the distances (None without that row), each
+    data row as its line number and fields (the lead fields first), the
+    stripped ids and the count matrix. A table that splits like csv reads
+    its header and distance row from ``str.split`` and its count block
+    through :func:`_read_block`; where that fails, and for every other
+    table, the checked reader reads each row on its own and raises on the
+    first error in file order.
+    """
+    numbered = _numbered_lines(text)
+    plain = _splits_like_csv(numbered)
+    if plain:
+        rows = [(line_no, line.split(",")) for line_no, line in numbered[:2]]
+    else:
+        rows = _data_lines(numbered)
+    names = _read_header(rows, lead)
+    distances = None
+    if distance_row and len(rows) > 1 and rows[1][1][0].strip() == "distance":
+        distances = _read_distances(*rows[1], names)
+    start = 1 if distances is None else 2
+    if plain:
+        block = _read_block(numbered[start:], len(lead), len(names), unique)
+        if block is not None:
+            return (names, distances, *block)
+        rows = _data_lines(numbered)
+    data = rows[start:]
+    ids, counts = _read_rows(data, lead, names, unique)
+    return names, distances, data, ids, counts
+
+
 def parse_cross_sectional(text: Union[str, IO[str], Iterable[str]]) -> AbundanceTable:
     """Parse a ``subject_id,<species...>`` CSV into an untimed table.
 
@@ -281,10 +402,7 @@ def parse_cross_sectional(text: Union[str, IO[str], Iterable[str]]) -> Abundance
     and negative or non-numeric cells are parse errors naming the offending
     line and column.
     """
-    rows = _data_lines(text)
-    lead = ("subject_id",)
-    species = _read_header(rows, lead)
-    subject_ids, counts = _read_rows(rows[1:], lead, species, unique=True)
+    species, _, _, subject_ids, counts = _read_table(text, ("subject_id",), unique=True)
     return AbundanceTable(tuple(subject_ids), species, counts)
 
 
@@ -321,11 +439,9 @@ def parse_longitudinal(text: Union[str, IO[str], Iterable[str]]) -> AbundanceTab
     Rows are regrouped by subject (first-appearance order); within each
     subject the input order is kept and times must be strictly increasing.
     """
-    rows = _data_lines(text)
-    lead = ("subject_id", "time")
-    species = _read_header(rows, lead)
-    data = rows[1:]
-    subjects_raw, count_rows = _read_rows(data, lead, species, unique=False)
+    species, _, data, subjects_raw, count_rows = _read_table(
+        text, ("subject_id", "time"), unique=False
+    )
     times_raw = _parse_time_cells([(line_no, fields[1]) for line_no, fields in data])
 
     by_subject: dict[str, list[int]] = {}
@@ -362,34 +478,11 @@ def parse_longitudinal(text: Union[str, IO[str], Iterable[str]]) -> AbundanceTab
 
 def parse_location(text: Union[str, IO[str], Iterable[str]]) -> LocationTable:
     """Parse a ``species,<loc...>`` CSV, with optional ``distance`` row."""
-    rows = _data_lines(text)
-    lead = ("species",)
-    labels = _read_header(rows, lead)
-    data = rows[1:]
-
-    distances = tuple(float(i) for i in range(1, len(labels) + 1))
-    if data and data[0][1][0].strip() == "distance":
-        line_no, fields = data.pop(0)
-        if len(fields) != 1 + len(labels):
-            raise ParseError(
-                f"line {line_no}: expected {1 + len(labels)} fields, got {len(fields)}"
-            )
-        parsed: list[float] = []
-        for cell in fields[1:]:
-            try:
-                value = float(cell.strip())
-            except ValueError:
-                raise ParseError(
-                    f"line {line_no}: non-numeric distance {cell!r}"
-                ) from None
-            if not np.isfinite(value) or value <= 0:
-                raise ParseError(f"line {line_no}: distances must be positive")
-            if parsed and value <= parsed[-1]:
-                raise ParseError(f"line {line_no}: distances must increase")
-            parsed.append(value)
-        distances = tuple(parsed)
-
-    species_ids, counts = _read_rows(data, lead, labels, unique=True)
+    labels, distances, _, species_ids, counts = _read_table(
+        text, ("species",), unique=True, distance_row=True
+    )
+    if distances is None:
+        distances = tuple(float(i) for i in range(1, len(labels) + 1))
     return LocationTable(tuple(species_ids), labels, counts, distances)
 
 

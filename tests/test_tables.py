@@ -1,13 +1,17 @@
 """Parsing, validation, and round-trip behavior of the three CSV layouts."""
 
+import csv
 import datetime
 import io
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taylorlaw import tables
 from taylorlaw import (
     AbundanceTable,
     LocationTable,
@@ -401,3 +405,139 @@ def test_row_reader_accepts_exactly_what_the_cell_parser_accepts(cells):
     else:
         _, counts = _read_rows(data, ("subject_id",), names, unique=True)
         assert [v.hex() for v in counts[0].tolist()] == [v.hex() for v in expected]
+
+
+# The block route (one np.loadtxt per table) against the checked route (one
+# csv split and one conversion per row): equal tables down to the bits of
+# every count, or the same error message.
+
+_OVER_LIMIT = "0" * (csv.field_size_limit() + 1)
+_ROUTE_CELLS = [
+    "1_0", "\u0661", "\uff11\uff12", " 7 ", "-0", "inf", "1e400", "NA", "",
+    "0x10", "-1", "2.5", '"3"', '"4,5"', "1\0", _OVER_LIMIT,
+]
+_LAYOUTS = {
+    "cross_sectional": (parse_cross_sectional, ["subject_id"]),
+    "longitudinal": (parse_longitudinal, ["subject_id", "time"]),
+    "location": (parse_location, ["species"]),
+}
+
+
+def _outcome(parse, text):
+    try:
+        table = parse(text)
+    except ParseError as exc:
+        return ("error", str(exc))
+    hexed = [[v.hex() for v in row] for row in table.counts.tolist()]
+    if isinstance(table, LocationTable):
+        distances = [d.hex() for d in table.distances]
+        return (table.species_ids, table.location_labels, distances, hexed)
+    return (table.subject_ids, table.species_ids, table.times, hexed)
+
+
+def _assert_routes_agree(parse, text):
+    fast = _outcome(parse, text)
+    with mock.patch.object(tables, "_read_block", lambda *args: None):
+        checked = _outcome(parse, text)
+    assert fast == checked
+
+
+def _table_text(layout, rows, n_species, newline="\n", distances=None):
+    lead = _LAYOUTS[layout][1]
+    lines = [",".join([*lead, *(f"c{j}" for j in range(n_species))])]
+    if distances is not None:
+        lines.append(",".join(["distance", *distances]))
+    lines += [",".join(row) for row in rows]
+    return newline.join(lines) + newline
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+@pytest.mark.parametrize("cell", _ROUTE_CELLS, ids=lambda c: repr(c)[:12])
+def test_block_and_checked_routes_agree_on_each_odd_cell(layout, cell):
+    lead = ["s1", "1"][: len(_LAYOUTS[layout][1])]
+    other = ["s2", "2"][: len(lead)]
+    rows = [[*lead, "3", cell], [*other, "4", "5"]]
+    _assert_routes_agree(_LAYOUTS[layout][0], _table_text(layout, rows, 2))
+
+
+_route_cells = st.one_of(st.integers(0, 99).map(str), st.sampled_from(_ROUTE_CELLS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_block_and_checked_routes_agree(data):
+    """Random tables in every layout, with odd cells, ragged rows, repeated
+    ids, comment and blank lines and CRLF endings, read the same by both
+    routes."""
+    layout = data.draw(st.sampled_from(sorted(_LAYOUTS)))
+    n_species = data.draw(st.integers(1, 3))
+    clean = data.draw(st.booleans())
+    cells = st.integers(0, 99).map(str) if clean else _route_cells
+    rows = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        row = [data.draw(st.sampled_from(["a", "b", "c", " a", "#1", "a\0"]))]
+        if layout == "longitudinal":
+            row.append(data.draw(st.sampled_from(["0", "1", "2", "2021-01-01", "x"])))
+        width = n_species + data.draw(st.sampled_from([0, 0, 0, -1, 1]))
+        row += [data.draw(cells) for _ in range(max(width, 0))]
+        rows.append(row)
+    distances = None
+    if layout == "location" and data.draw(st.booleans()):
+        distances = [
+            data.draw(st.sampled_from(["1", "2", "0", "x", "0.5"]))
+            for _ in range(n_species)
+        ]
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+    lines = _table_text(layout, rows, n_species, newline, distances).split(newline)
+    for extra in data.draw(st.lists(st.sampled_from(["# note", "", "  "]), max_size=2)):
+        lines.insert(data.draw(st.integers(1, len(lines))), extra)
+    _assert_routes_agree(_LAYOUTS[layout][0], newline.join(lines))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a plain table took the checked route")
+
+
+@pytest.mark.parametrize(
+    ("parse", "text"),
+    [
+        (parse_cross_sectional, "# counts\r\nsubject_id,a,b\r\n\r\ns1,1,2.5\r\ns2, 0 ,1e3\r\n"),
+        (parse_longitudinal, "subject_id,time,a\ns,1,1\nt,1,2\ns,2,3\n"),
+        (parse_location, "species,l1,l2\ndistance,0.5,2\nsp1,1,0\nsp2,3,4\n"),
+        (parse_location, "species,l1\nsp1,7\n"),
+        (
+            parse_cross_sectional,
+            "subject_id," + ",".join(f"sp{j}" for j in range(30000)) + "\n"
+            + "".join(f"s{i}," + ",".join(["1234.5"] * 30000) + "\n" for i in range(2)),
+        ),
+    ],
+    ids=["crlf_comment_blank", "longitudinal", "distance_row", "one_cell", "30000_species"],
+)
+def test_a_plain_table_never_takes_the_checked_route(monkeypatch, parse, text):
+    """Long lines of short fields included: the field size limit is checked
+    per field, so a 30,000-species table still converts in one block."""
+    with mock.patch.object(tables, "_read_block", lambda *args: None):
+        checked = parse(text)
+    for name in ("_data_lines", "_read_rows", "_parse_count"):
+        monkeypatch.setattr(tables, name, _refuse)
+    assert parse(text) == checked
+
+
+@pytest.mark.parametrize(
+    ("parse", "text"),
+    [
+        (parse_cross_sectional, "subject_id,a\ns1,\n"),
+        (parse_cross_sectional, "subject_id,a\ns1\n"),
+        (parse_cross_sectional, "subject_id,a,b\ns1\ns2\n"),
+        (parse_longitudinal, "subject_id,time,a\ns,1,\n"),
+        (parse_longitudinal, "subject_id,time,a\ns,1\n"),
+        (parse_location, "species,l1\nsp,\n"),
+        (parse_location, "species,l1\ndistance,1\nsp\n"),
+    ],
+)
+def test_rows_with_only_an_id_raise_no_warning(parse, text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError):
+            parse(text)
+        parse_cross_sectional("subject_id,a\ns1,1\n")
