@@ -7,122 +7,88 @@ call, and validating the whole chain against simulated spatial point
 patterns with known answers. A distance-decay model and a pair correlation
 estimator round out the toolkit; the ``taylorlaw`` console script exposes
 everything on files.
-"""
 
-from .dispersion import DispersionFit, fit_dispersion, fit_dispersion_table
-from .errors import (
-    DataError,
-    DegenerateDesignError,
-    DomainError,
-    InsufficientDataError,
-    ParseError,
-    TaylorLawError,
-    UsageError,
-)
-from .extraction import (
-    SCHEME_TAGS,
-    MVPair,
-    MVSeries,
-    Scheme,
-    extract_pairs,
-    mean_convert,
-    sample_variance,
-)
-from .fitting import (
-    Classification,
-    PacdResult,
-    PowerLawFit,
-    classify,
-    classify_from_params,
-    fit_log_ols,
-    fit_nls,
-    pacd,
-    pacd_from_params,
-    t_tail_probability,
-)
-from .pointprocess import (
-    EXPERIMENT_KINDS,
-    PcfEstimate,
-    PcfFit,
-    PointPattern,
-    QuadratCounts,
-    derive_seed,
-    estimate_pcf,
-    fit_pcf,
-    quadrat_counts,
-    simulate_hardcore,
-    simulate_poisson,
-    simulate_thomas,
-    taylor_experiment,
-)
-from .svgplot import emit_svg_plot
-from .tables import (
-    AbundanceTable,
-    LocationTable,
-    format_cross_sectional,
-    format_location,
-    format_longitudinal,
-    parse_cross_sectional,
-    parse_location,
-    parse_longitudinal,
-)
-from .cli import FitReport, RunConfig, build_fit_report, main, run
+Importing the package loads none of its modules: each public name loads
+its home module the first time it is used (PEP 562).
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbundanceTable",
-    "Classification",
-    "DataError",
-    "DegenerateDesignError",
-    "DispersionFit",
-    "DomainError",
-    "EXPERIMENT_KINDS",
-    "FitReport",
-    "InsufficientDataError",
-    "LocationTable",
-    "MVPair",
-    "MVSeries",
-    "PacdResult",
-    "ParseError",
-    "PcfEstimate",
-    "PcfFit",
-    "PointPattern",
-    "PowerLawFit",
-    "QuadratCounts",
-    "RunConfig",
-    "SCHEME_TAGS",
-    "Scheme",
-    "TaylorLawError",
-    "UsageError",
-    "build_fit_report",
-    "classify",
-    "classify_from_params",
-    "derive_seed",
-    "emit_svg_plot",
-    "estimate_pcf",
-    "extract_pairs",
-    "fit_dispersion",
-    "fit_dispersion_table",
-    "fit_log_ols",
-    "fit_nls",
-    "fit_pcf",
-    "format_cross_sectional",
-    "format_location",
-    "format_longitudinal",
-    "main",
-    "mean_convert",
-    "pacd",
-    "pacd_from_params",
-    "parse_cross_sectional",
-    "parse_location",
-    "parse_longitudinal",
-    "quadrat_counts",
-    "run",
-    "sample_variance",
-    "simulate_hardcore",
-    "simulate_poisson",
-    "simulate_thomas",
-    "t_tail_probability",
-    "taylor_experiment",
-]
+# Each public name by the module that defines it.
+_HOMES = {
+    "_choices": ("EXPERIMENT_KINDS", "SCHEME_TAGS"),
+    "cli": ("FitReport", "RunConfig", "build_fit_report", "main", "run"),
+    "dispersion": ("DispersionFit", "fit_dispersion", "fit_dispersion_table"),
+    "errors": (
+        "DataError",
+        "DegenerateDesignError",
+        "DomainError",
+        "InsufficientDataError",
+        "ParseError",
+        "TaylorLawError",
+        "UsageError",
+    ),
+    "extraction": (
+        "MVPair",
+        "MVSeries",
+        "Scheme",
+        "extract_pairs",
+        "mean_convert",
+        "sample_variance",
+    ),
+    "fitting": (
+        "Classification",
+        "PacdResult",
+        "PowerLawFit",
+        "classify",
+        "classify_from_params",
+        "fit_log_ols",
+        "fit_nls",
+        "pacd",
+        "pacd_from_params",
+        "t_tail_probability",
+    ),
+    "pointprocess": (
+        "PcfEstimate",
+        "PcfFit",
+        "PointPattern",
+        "QuadratCounts",
+        "derive_seed",
+        "estimate_pcf",
+        "fit_pcf",
+        "quadrat_counts",
+        "simulate_hardcore",
+        "simulate_poisson",
+        "simulate_thomas",
+        "taylor_experiment",
+    ),
+    "svgplot": ("emit_svg_plot",),
+    "tables": (
+        "AbundanceTable",
+        "LocationTable",
+        "format_cross_sectional",
+        "format_location",
+        "format_longitudinal",
+        "parse_cross_sectional",
+        "parse_location",
+        "parse_longitudinal",
+    ),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__ rather than importlib.import_module, which -X importtime
+    # does not see.
+    value = getattr(__import__(f"{__name__}.{module}", fromlist=[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -13,58 +13,66 @@ Reports are printed to standard output as JSON (default) or as flat
 dict order is fixed, so identical configuration and inputs produce
 byte-identical bytes. Exit status is 0 on success, 1 on usage or
 configuration errors, and 2 on data, domain, or I/O errors.
+
+Parsing argv and checking a ``RunConfig`` load no layer and no numpy: each
+runner loads the layers it calls the first time it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
+import numbers
 import re
 import sys
-from dataclasses import asdict, dataclass
-from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-import numpy as np
-
-from ._fmt import sig12
-from .dispersion import DispersionFit, fit_dispersion_table
-from .dispersion import fit_dispersion  # noqa: F401  benchmark/spans.py wraps this name
+from . import _HOMES
+from ._choices import _PER_SUBJECT, EXPERIMENT_KINDS, PCF_FORMS, SCHEME_TAGS, _check_seed
+from ._fmt import _emit, _is_comment, sig12
+from ._records import _Checked
 from .errors import DataError, ParseError, TaylorLawError, UsageError
-from .extraction import _PER_SUBJECT, SCHEME_TAGS, MVSeries, Scheme, extract_pairs
-from .fitting import (
-    Classification,
-    PacdResult,
-    PowerLawFit,
-    classify,
-    fit_log_ols,
-    fit_nls,
-    pacd,
-    pacd_from_params,
-    split_usable,
-)
-from .pointprocess import (
-    EXPERIMENT_KINDS,
-    PCF_FORMS,
-    _check_seed,
-    estimate_pcf,
-    fit_pcf,
-    simulate_hardcore,
-    simulate_poisson,
-    simulate_thomas,
-    taylor_experiment,
-)
-from .svgplot import emit_svg_plot
-from .tables import (
-    AbundanceTable,
-    _emit,
-    _is_comment,
-    parse_cross_sectional,
-    parse_location,
-    parse_longitudinal,
-)
+
+if TYPE_CHECKING:
+    from .dispersion import DispersionFit
+    from .extraction import MVSeries, Scheme
+    from .fitting import Classification, PacdResult, PowerLawFit
+    from .tables import AbundanceTable
+
+# The names each layer lends the runners: its public names, and fitting's
+# split_usable. A name is bound here when a runner first loads its layer,
+# or when it is first read as an attribute (benchmark/spans.py reads the
+# names it wraps that way), and is never rebound: the runners look it up
+# in this module, so they call whatever wrapper was set here.
+_LAYERS = {
+    layer: _HOMES[layer]
+    for layer in ("tables", "extraction", "fitting", "dispersion", "pointprocess", "svgplot")
+}
+_LAYERS["fitting"] += ("split_usable",)
+
+
+def _load(*layers: str) -> None:
+    """Import each layer and bind the names it lends this module that are
+    not bound yet."""
+    namespace = globals()
+    for layer in layers:
+        missing = [name for name in _LAYERS[layer] if name not in namespace]
+        if missing:
+            # __import__ rather than importlib.import_module, which -X
+            # importtime does not see.
+            module = __import__(f"{__package__}.{layer}", fromlist=missing)
+            for name in missing:
+                namespace[name] = getattr(module, name)
+
+
+def __getattr__(name: str):
+    for layer, names in _LAYERS.items():
+        if name in names:
+            _load(layer)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 METHODS = ("log_ols", "nls")
 OUTPUT_FORMATS = ("json", "csv")
@@ -76,14 +84,8 @@ DEFAULT_LEVELS = {
     "hardcore_sweep": (100.0, 200.0, 400.0, 800.0),
 }
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated configuration for one CLI invocation.
 
-    What each command requires, which ``--kind`` values it takes and whether
-    it plots are looked up in ``_COMMANDS``; each flag's choices in ``_FLAGS``.
-    """
-
+class _RunConfigFields(NamedTuple):
     command: str
     input_path: str | None = None
     scheme_tag: str | None = None
@@ -112,7 +114,17 @@ class RunConfig:
     c_low: float = 0.0
     c_high: float = 5.0
 
-    def __post_init__(self):
+
+class RunConfig(_Checked, _RunConfigFields):
+    """Validated configuration for one CLI invocation.
+
+    What each command requires, which ``--kind`` values it takes and whether
+    it plots are looked up in ``_COMMANDS``; each flag's choices in ``_FLAGS``.
+    """
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         command = _COMMANDS.get(self.command)
         if command is None:
             raise UsageError(f"unknown command {self.command!r}")
@@ -151,8 +163,7 @@ class RunConfig:
                 raise UsageError("pacd needs --a/--b or --input with --scheme")
 
 
-@dataclass(frozen=True)
-class FitReport:
+class FitReport(NamedTuple):
     """Everything one fit produces: parameters, critical density, call.
 
     ``classification`` is None when the slope test is undefined for this
@@ -176,6 +187,7 @@ def build_fit_report(
     min_pairs: int = 3,
 ) -> FitReport:
     """Fit ``series`` and derive critical density and classification."""
+    _load("fitting")
     if method == "log_ols":
         fit = fit_log_ols(series, min_pairs=min_pairs)
     else:
@@ -192,11 +204,31 @@ def build_fit_report(
 
 
 def _report_dict(report: FitReport) -> dict:
-    value = asdict(report)
-    error = value.pop("classification_error")
-    if report.classification is None:
-        value["classification"] = {"error": error}
-    return value
+    """A fit report as dicts in field order; a slope test that failed is
+    reported as its error."""
+    call = report.classification
+    return {
+        "scheme": None if report.scheme is None else report.scheme._asdict(),
+        "fit": report.fit._asdict(),
+        "pacd": report.pacd._asdict(),
+        "classification": (
+            {"error": report.classification_error} if call is None else call._asdict()
+        ),
+        "dropped_pair_labels": report.dropped_pair_labels,
+    }
+
+
+def _plain_number(value) -> int | float:
+    """A Python or numpy number as a Python int or float. The concrete types
+    go first: an abstract check costs about a microsecond, and a report can
+    hold tens of thousands of floats."""
+    if isinstance(value, (float, int)):
+        return value
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if isinstance(value, numbers.Real):
+        return float(value)
+    raise TypeError(f"unsupported report value {value!r}")
 
 
 def _json_scalar(value) -> str:
@@ -204,13 +236,12 @@ def _json_scalar(value) -> str:
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return sig12(value) if math.isfinite(value) else "null"
     if isinstance(value, str):
         return json.dumps(value)
-    raise TypeError(f"unsupported report value {value!r}")
+    value = _plain_number(value)
+    if isinstance(value, int):
+        return str(int(value))
+    return sig12(value) if math.isfinite(value) else "null"
 
 
 def _render_json(value, level: int = 0) -> str:
@@ -237,11 +268,12 @@ def _csv_scalar(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, str):
+        return value
+    value = _plain_number(value)
+    if isinstance(value, int):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return sig12(value) if math.isfinite(value) else "nan"
-    return str(value)
+    return sig12(value) if math.isfinite(value) else "nan"
 
 
 def _flatten(value, prefix: str, rows: list) -> None:
@@ -270,6 +302,8 @@ def render_report(value, output_format: str) -> str:
 
 def _read_text(path: str) -> str:
     """Read a UTF-8 input file; undecodable bytes are a parse error."""
+    from pathlib import Path
+
     data = Path(path).read_bytes()
     try:
         return data.decode("utf-8")
@@ -280,11 +314,20 @@ def _read_text(path: str) -> str:
         ) from None
 
 
+# A run of characters between the line breaks of ``str.splitlines``: the
+# lines that are not empty, found without splitting the whole text.
+_LINE = re.compile(r"[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]+")
+
+
 def _load_table(path: str) -> AbundanceTable:
     """Read an abundance CSV, choosing the layout by its header row."""
+    import csv
+
     text = _read_text(path)
+    _load("tables")
     header = None
-    for line in text.splitlines():
+    for match in _LINE.finditer(text):
+        line = match.group()
         if line.strip() and not _is_comment(line):
             try:
                 header = next(csv.reader([line]))
@@ -298,6 +341,8 @@ def _load_table(path: str) -> AbundanceTable:
 
 def _normalize_table(table: AbundanceTable) -> AbundanceTable:
     """Divide every observation row by its row sum."""
+    import numpy as np
+
     sums = table.counts.sum(axis=1)
     zero = np.flatnonzero(sums == 0)
     if zero.size:
@@ -332,6 +377,7 @@ def _fit_each(what: str, items, fit: Callable, failed: Callable) -> list:
 
 
 def _run_table_fit(config: RunConfig) -> dict:
+    _load("extraction")
     table = _load_table(config.input_path)
     if config.normalize:
         table = _normalize_table(table)
@@ -348,11 +394,12 @@ def _run_table_fit(config: RunConfig) -> dict:
             "subject",
             [Scheme(config.scheme_tag, s) for s in table.subjects()],
             lambda scheme: _report_dict(fit(scheme)[1]),
-            lambda scheme, error: {"scheme": asdict(scheme), "error": error},
+            lambda scheme, error: {"scheme": scheme._asdict(), "error": error},
         )
         return value
     series, report = fit(Scheme(config.scheme_tag, config.subject))
     if config.plot_path:
+        _load("svgplot")
         emit_svg_plot(series, report.fit, config.plot_path)
     value["report"] = _report_dict(report)
     return value
@@ -360,13 +407,16 @@ def _run_table_fit(config: RunConfig) -> dict:
 
 def _run_pacd(config: RunConfig) -> dict:
     if config.a is not None:
+        _load("fitting")
         res = pacd_from_params(config.a, config.b)
-        return {"command": "pacd", "a": config.a, "b": config.b, "pacd": asdict(res)}
+        return {"command": "pacd", "a": config.a, "b": config.b, "pacd": res._asdict()}
     return _run_table_fit(config)
 
 
 def _run_dispersion(config: RunConfig) -> dict:
-    table = parse_location(_read_text(config.input_path))
+    text = _read_text(config.input_path)
+    _load("tables", "dispersion")
+    table = parse_location(text)
     xs = list(table.distances)
     fits = _fit_each(
         "species",
@@ -386,10 +436,11 @@ def _fit_dict(result: DispersionFit | DataError) -> dict:
     """A species' fit as a report dict; a data error in its place is raised."""
     if isinstance(result, DataError):
         raise result
-    return asdict(result)
+    return result._asdict()
 
 
 def _make_pattern(config: RunConfig):
+    _load("pointprocess")
     if config.kind == "poisson":
         return simulate_poisson(config.intensity, config.seed)
     if config.kind == "thomas":
@@ -421,7 +472,7 @@ def _run_pcf(config: RunConfig) -> dict:
     fits = {}
     for form in PCF_FORMS:
         try:
-            fits[form] = asdict(fit_pcf(est, form))
+            fits[form] = fit_pcf(est, form)._asdict()
         except TaylorLawError as exc:
             fits[form] = {"error": str(exc)}
     return {
@@ -437,6 +488,7 @@ def _run_pcf(config: RunConfig) -> dict:
 
 def _run_experiment(config: RunConfig) -> dict:
     levels = config.levels or DEFAULT_LEVELS[config.kind]
+    _load("pointprocess")
     series = taylor_experiment(
         config.kind,
         list(levels),
@@ -451,6 +503,7 @@ def _run_experiment(config: RunConfig) -> dict:
         series, None, config.method, config.alpha, config.min_pairs
     )
     if config.plot_path:
+        _load("svgplot")
         emit_svg_plot(series, report.fit, config.plot_path)
     return {
         "command": "experiment",
@@ -576,8 +629,7 @@ _EXPERIMENT_FLAGS = (
 )
 
 
-@dataclass(frozen=True)
-class _Command:
+class _Command(NamedTuple):
     help: str
     run: Callable[[RunConfig], dict]
     flags: tuple[str, ...]

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
+from ._records import _Checked
 from .errors import (
     DataError,
     DegenerateDesignError,
@@ -38,15 +38,7 @@ _HUGE = float(np.finfo(float).max)
 _BLOCK = 2**20
 
 
-@dataclass(frozen=True)
-class DispersionFit:
-    """Parameters of ln N = a + b*x^c + d*ln x with fit diagnostics.
-
-    ``profile_flat`` is True when the residual profile over c is level to
-    within one part in 1e6 across the whole search interval, meaning c is
-    not identified by the data and the reported value is arbitrary.
-    """
-
+class _DispersionFitFields(NamedTuple):
     a: float
     b: float
     c: float
@@ -55,7 +47,18 @@ class DispersionFit:
     n_used: int
     profile_flat: bool
 
-    def __post_init__(self):
+
+class DispersionFit(_Checked, _DispersionFitFields):
+    """Parameters of ln N = a + b*x^c + d*ln x with fit diagnostics.
+
+    ``profile_flat`` is True when the residual profile over c is level to
+    within one part in 1e6 across the whole search interval, meaning c is
+    not identified by the data and the reported value is arbitrary.
+    """
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not self.c > 0:
             raise ValueError("exponent c must be positive")
         if self.n_used < 4:

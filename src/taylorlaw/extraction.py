@@ -25,33 +25,27 @@ pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from ._choices import _PER_SUBJECT, SCHEME_TAGS
+from ._records import _Checked, _Frozen
 from .errors import DataError, UsageError
 from .tables import AbundanceTable, _fmt_time
 
-SCHEME_TAGS = (
-    "subjects_across_species",
-    "species_across_subjects",
-    "mean_converted_subjects",
-    "per_subject_time",
-    "per_subject_species",
-)
 
-_PER_SUBJECT = ("per_subject_time", "per_subject_species")
-
-
-@dataclass(frozen=True)
-class Scheme:
-    """Extraction scheme tag plus the subject id for per-subject schemes."""
-
+class _SchemeFields(NamedTuple):
     tag: str
     subject: str | None = None
 
-    def __post_init__(self):
+
+class Scheme(_Checked, _SchemeFields):
+    """Extraction scheme tag plus the subject id for per-subject schemes."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.tag not in SCHEME_TAGS:
             raise UsageError(f"unknown scheme tag {self.tag!r}")
         if (self.subject is not None) != (self.tag in _PER_SUBJECT):
@@ -68,20 +62,19 @@ class MVPair(NamedTuple):
     variance: float
 
 
-@dataclass(frozen=True)
-class MVSeries:
+class MVSeries(_Frozen):
     """Ordered mean-variance pairs tagged with their extraction scheme.
 
     ``scheme`` is None for series not derived from a table (e.g. simulation
     sweeps).
     """
 
-    scheme: Scheme | None
-    pairs: tuple[MVPair, ...]
+    __slots__ = ("scheme", "pairs")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "pairs", tuple(MVPair(str(l), float(m), float(v)) for l, m, v in self.pairs)
+    def __init__(self, scheme: Scheme | None, pairs):
+        self.scheme = scheme
+        self.pairs: tuple[MVPair, ...] = tuple(
+            MVPair(str(l), float(m), float(v)) for l, m, v in pairs
         )
         labels = [p.label for p in self.pairs]
         if len(set(labels)) != len(labels):
@@ -94,6 +87,14 @@ class MVSeries:
 
     def __len__(self) -> int:
         return len(self.pairs)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MVSeries):
+            return NotImplemented
+        return self.scheme == other.scheme and self.pairs == other.pairs
+
+    def __hash__(self) -> int:
+        return hash((self.scheme, self.pairs))
 
 
 def _row_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

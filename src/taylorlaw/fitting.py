@@ -19,18 +19,20 @@ at which variance equals the mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
+from ._records import _Checked
 from .errors import (
     DegenerateDesignError,
     DomainError,
     InsufficientDataError,
     UsageError,
 )
-from .extraction import MVPair, MVSeries
+
+if TYPE_CHECKING:
+    from .extraction import MVPair, MVSeries
 
 PATTERNS = ("aggregated", "random", "regular")
 
@@ -42,14 +44,7 @@ _NEWTON_RTOL = 1e-11
 _NEWTON_STEPS = 30
 
 
-@dataclass(frozen=True)
-class PowerLawFit:
-    """Fitted coefficient ``a`` and exponent ``b`` with diagnostics.
-
-    ``rss_log`` is set by the log-space OLS fit, ``rss_raw`` by the direct
-    nonlinear fit; the other is None.
-    """
-
+class _PowerLawFitFields(NamedTuple):
     a: float
     b: float
     se_ln_a: float
@@ -62,7 +57,17 @@ class PowerLawFit:
     rss_raw: float | None = None
     converged: bool = True
 
-    def __post_init__(self):
+
+class PowerLawFit(_Checked, _PowerLawFitFields):
+    """Fitted coefficient ``a`` and exponent ``b`` with diagnostics.
+
+    ``rss_log`` is set by the log-space OLS fit, ``rss_raw`` by the direct
+    nonlinear fit; the other is None.
+    """
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not self.a > 0:
             raise ValueError("coefficient a must be positive")
         if self.n_used < 3:
@@ -75,8 +80,7 @@ class PowerLawFit:
             raise ValueError(f"unknown method {self.method!r}")
 
 
-@dataclass(frozen=True)
-class PacdResult:
+class PacdResult(NamedTuple):
     """Aggregation critical density, or the reason it is undefined."""
 
     m0: float | None
@@ -84,8 +88,7 @@ class PacdResult:
     reason: str = ""
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     pattern: str
     t_statistic: float
     p_value: float

@@ -20,10 +20,12 @@ power-law fitting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from ._choices import EXPERIMENT_KINDS, PCF_FORMS, _check_seed
+from ._records import _Checked, _Frozen
 from .errors import (
     DegenerateDesignError,
     DomainError,
@@ -33,21 +35,9 @@ from .errors import (
 from .extraction import MVPair, MVSeries, sample_variance
 from .fitting import _ols_line
 
-EXPERIMENT_KINDS = ("poisson_sweep", "thomas_cluster_sweep", "hardcore_sweep")
-PCF_FORMS = ("paper_form", "xi_form")
-
-_SEED_LIMIT = 2**64
 # Most points, quadrats, rings, pooled counts, pairs or candidate pairs (of
 # one block) one call may ask for.
 _SIZE_LIMIT = 10**7
-
-
-def _check_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise UsageError("seed must be an integer")
-    if not 0 <= seed < _SEED_LIMIT:
-        raise UsageError("seed must fit in an unsigned 64-bit integer")
-    return int(seed)
 
 
 def _wrap_unit(coords: np.ndarray) -> np.ndarray:
@@ -63,16 +53,13 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class PointPattern:
+class PointPattern(_Frozen):
     """Points in [0,1)^2 with the generator descriptor and seed that made them."""
 
-    points: np.ndarray
-    generator: str
-    seed: int
+    __slots__ = ("points", "generator", "seed")
 
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+    def __init__(self, points, generator: str, seed: int):
+        pts = np.asarray(points, dtype=float)
         if pts.size == 0:
             pts = pts.reshape(0, 2)
         if pts.ndim != 2 or pts.shape[1] != 2:
@@ -81,8 +68,10 @@ class PointPattern:
             raise ValueError("coordinates must be finite")
         if pts.size and (pts.min() < 0.0 or pts.max() >= 1.0):
             raise ValueError("coordinates must lie in [0, 1)")
-        object.__setattr__(self, "points", _readonly(pts))
-        _check_seed(self.seed)
+        self.points = _readonly(pts)
+        self.generator = generator
+        self.seed = seed
+        _check_seed(seed)
 
     @property
     def n(self) -> int:
@@ -101,27 +90,24 @@ class PointPattern:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class QuadratCounts:
+class QuadratCounts(_Frozen):
     """Counts of points per cell of a q-by-q partition of the unit square."""
 
-    q: int
-    counts: np.ndarray
+    __slots__ = ("q", "counts")
 
-    def __post_init__(self):
-        if not (isinstance(self.q, (int, np.integer)) and self.q >= 1):
+    def __init__(self, q: int, counts):
+        if not (isinstance(q, (int, np.integer)) and q >= 1):
             raise ValueError("q must be an integer >= 1")
-        counts = np.asarray(self.counts)
-        if counts.shape != (self.q, self.q):
-            raise ValueError(f"counts must have shape ({self.q}, {self.q})")
+        counts = np.asarray(counts)
+        if counts.shape != (q, q):
+            raise ValueError(f"counts must have shape ({q}, {q})")
         if not np.issubdtype(counts.dtype, np.integer):
             raise ValueError("counts must be integers")
         if counts.size and counts.min() < 0:
             raise ValueError("counts must be non-negative")
-        frozen = np.array(counts, copy=True)
-        frozen.setflags(write=False)
-        object.__setattr__(self, "counts", frozen)
-        object.__setattr__(self, "q", int(self.q))
+        self.counts = np.array(counts, copy=True)
+        self.counts.setflags(write=False)
+        self.q = int(q)
 
     @property
     def total(self) -> int:
@@ -133,47 +119,48 @@ class QuadratCounts:
         return self.q == other.q and np.array_equal(self.counts, other.counts)
 
 
-@dataclass(frozen=True, eq=False)
-class PcfEstimate:
+class PcfEstimate(_Frozen):
     """Binned pair correlation estimate g(r) at ring centers ``radii``."""
 
-    radii: np.ndarray
-    g: np.ndarray
-    bin_width: float
-    n_points: int
+    __slots__ = ("radii", "g", "bin_width", "n_points")
 
-    def __post_init__(self):
-        radii = np.asarray(self.radii, dtype=float)
-        g = np.asarray(self.g, dtype=float)
+    def __init__(self, radii, g, bin_width: float, n_points: int):
+        radii = np.asarray(radii, dtype=float)
+        g = np.asarray(g, dtype=float)
         if radii.ndim != 1 or radii.shape != g.shape:
             raise ValueError("radii and g must be 1-d arrays of equal length")
-        if not self.bin_width > 0:
+        if not bin_width > 0:
             raise ValueError("bin_width must be positive")
         if radii.size:
             if radii[0] <= 0 or np.any(np.diff(radii) <= 0):
                 raise ValueError("radii must be positive and increasing")
-            if radii[-1] + self.bin_width / 2.0 > 0.5 + 1e-12:
+            if radii[-1] + bin_width / 2.0 > 0.5 + 1e-12:
                 raise ValueError("rings must fit inside the half-width of the torus")
         if g.size and g.min() < 0:
             raise ValueError("g estimates must be non-negative")
-        object.__setattr__(self, "radii", _readonly(radii))
-        object.__setattr__(self, "g", _readonly(g))
+        self.radii = _readonly(radii)
+        self.g = _readonly(g)
+        self.bin_width = bin_width
+        self.n_points = n_points
 
     def __len__(self) -> int:
         return self.radii.shape[0]
 
 
-@dataclass(frozen=True)
-class PcfFit:
-    """Power-law scale r0 and exponent s fitted to a correlation estimate."""
-
+class _PcfFitFields(NamedTuple):
     r0: float
     s: float
     form: str
     r_squared: float
     n_used: int
 
-    def __post_init__(self):
+
+class PcfFit(_Checked, _PcfFitFields):
+    """Power-law scale r0 and exponent s fitted to a correlation estimate."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not self.r0 > 0:
             raise ValueError("r0 must be positive")
         if self.form not in PCF_FORMS:

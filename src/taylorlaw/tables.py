@@ -33,17 +33,15 @@ cell in file order. Both routes give the same table, bit for bit.
 from __future__ import annotations
 
 import csv
-import io
-import re
 import warnings
 from collections import Counter
-from dataclasses import dataclass
 from datetime import date
-from functools import cached_property
 from typing import IO, Iterable, Sequence, Union
 
 import numpy as np
 
+from ._fmt import _emit, _is_comment
+from ._records import _Frozen
 from .errors import ParseError, UsageError
 
 TimeLabel = Union[int, date]
@@ -51,48 +49,56 @@ TimeLabel = Union[int, date]
 _NA_TOKENS = frozenset({"na", "n/a", "nan", "null", "none", ""})
 
 
+class _Parsed:
+    """A count matrix the parser has just built and checked in bulk: a table
+    takes it as it is, without the copy and the second check that it gives
+    a caller's array."""
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+
+
 def _as_readonly_counts(counts, n_rows: int, n_cols: int, what: str) -> np.ndarray:
-    arr = np.array(counts, dtype=float)
-    if arr.ndim != 2 or arr.shape != (n_rows, n_cols):
-        raise ValueError(
-            f"{what} counts must be {n_rows}x{n_cols}, got shape {arr.shape}"
-        )
-    if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0)):
-        raise ValueError(f"{what} counts must be non-negative and finite")
+    if isinstance(counts, _Parsed):
+        arr = counts.matrix
+    else:
+        arr = np.array(counts, dtype=float)
+        if arr.ndim != 2 or arr.shape != (n_rows, n_cols):
+            raise ValueError(
+                f"{what} counts must be {n_rows}x{n_cols}, got shape {arr.shape}"
+            )
+        if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0)):
+            raise ValueError(f"{what} counts must be non-negative and finite")
     arr.flags.writeable = False
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class AbundanceTable:
+class AbundanceTable(_Frozen):
     """Subjects x species count matrix, optionally with a time axis.
 
     ``subject_ids`` has one entry per observation row; with ``times`` present
     the row index is the (subject, time) pair and each subject's times must
-    be strictly increasing.
+    be strictly increasing. The count matrix is read-only and the table's own.
     """
 
-    subject_ids: tuple[str, ...]
-    species_ids: tuple[str, ...]
-    counts: np.ndarray
-    times: tuple[TimeLabel, ...] | None = None
+    __slots__ = ("subject_ids", "species_ids", "counts", "times", "_rows")
 
-    def __post_init__(self):
-        object.__setattr__(self, "subject_ids", tuple(self.subject_ids))
-        object.__setattr__(self, "species_ids", tuple(self.species_ids))
+    def __init__(self, subject_ids, species_ids, counts, times=None):
+        self.subject_ids: tuple[str, ...] = tuple(subject_ids)
+        self.species_ids: tuple[str, ...] = tuple(species_ids)
         if not self.subject_ids:
             raise ValueError("subject_ids must be non-empty")
         if not self.species_ids:
             raise ValueError("species_ids must be non-empty")
         if len(set(self.species_ids)) != len(self.species_ids):
             raise ValueError("duplicate species_ids")
-        counts = _as_readonly_counts(
-            self.counts, len(self.subject_ids), len(self.species_ids), "abundance"
+        self.counts = _as_readonly_counts(
+            counts, len(self.subject_ids), len(self.species_ids), "abundance"
         )
-        object.__setattr__(self, "counts", counts)
-        if self.times is not None:
-            times = tuple(self.times)
-            object.__setattr__(self, "times", times)
+        if times is not None:
+            times = tuple(times)
             if len(times) != len(self.subject_ids):
                 raise ValueError("times must have one entry per observation row")
             kinds = {type(t) for t in times}
@@ -105,20 +111,24 @@ class AbundanceTable:
                         f"times for subject {subject!r} are not strictly increasing"
                     )
                 seen[subject] = t
+        self.times: tuple[TimeLabel, ...] | None = times
 
-    @cached_property
     def _rows_by_subject(self) -> dict[str, list[int]]:
-        index: dict[str, list[int]] = {}
-        for i, subject in enumerate(self.subject_ids):
-            index.setdefault(subject, []).append(i)
-        return index
+        try:
+            return self._rows
+        except AttributeError:  # the first call fills the slot
+            rows: dict[str, list[int]] = {}
+            for i, subject in enumerate(self.subject_ids):
+                rows.setdefault(subject, []).append(i)
+            self._rows = rows
+            return rows
 
     def subjects(self) -> tuple[str, ...]:
         """Distinct subjects in first-appearance order."""
-        return tuple(self._rows_by_subject)
+        return tuple(self._rows_by_subject())
 
     def rows_for(self, subject: str) -> list[int]:
-        return list(self._rows_by_subject.get(subject, ()))
+        return list(self._rows_by_subject().get(subject, ()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AbundanceTable):
@@ -131,29 +141,24 @@ class AbundanceTable:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class LocationTable:
+class LocationTable(_Frozen):
     """Species x locations count matrix with ordered sampling locations."""
 
-    species_ids: tuple[str, ...]
-    location_labels: tuple[str, ...]
-    counts: np.ndarray
-    distances: tuple[float, ...]
+    __slots__ = ("species_ids", "location_labels", "counts", "distances")
 
-    def __post_init__(self):
-        object.__setattr__(self, "species_ids", tuple(self.species_ids))
-        object.__setattr__(self, "location_labels", tuple(self.location_labels))
-        object.__setattr__(self, "distances", tuple(float(d) for d in self.distances))
+    def __init__(self, species_ids, location_labels, counts, distances):
+        self.species_ids: tuple[str, ...] = tuple(species_ids)
+        self.location_labels: tuple[str, ...] = tuple(location_labels)
+        self.distances: tuple[float, ...] = tuple(float(d) for d in distances)
         if not self.species_ids:
             raise ValueError("species_ids must be non-empty")
         if not self.location_labels:
             raise ValueError("location_labels must be non-empty")
         if len(set(self.species_ids)) != len(self.species_ids):
             raise ValueError("duplicate species_ids")
-        counts = _as_readonly_counts(
-            self.counts, len(self.species_ids), len(self.location_labels), "location"
+        self.counts = _as_readonly_counts(
+            counts, len(self.species_ids), len(self.location_labels), "location"
         )
-        object.__setattr__(self, "counts", counts)
         if len(self.distances) != len(self.location_labels):
             raise ValueError("distances must have one entry per location")
         for prev, cur in zip(self.distances, self.distances[1:]):
@@ -171,13 +176,6 @@ class LocationTable:
             and self.distances == other.distances
             and np.array_equal(self.counts, other.counts)
         )
-
-
-def _is_comment(line: str) -> bool:
-    if not line.startswith("#"):
-        return False
-    rest = line[1:]
-    return rest == "" or rest[0] in " \t#"
 
 
 def _numbered_lines(text: Union[str, IO[str], Iterable[str]]) -> list[tuple[int, str]]:
@@ -403,7 +401,7 @@ def parse_cross_sectional(text: Union[str, IO[str], Iterable[str]]) -> Abundance
     line and column.
     """
     species, _, _, subject_ids, counts = _read_table(text, ("subject_id",), unique=True)
-    return AbundanceTable(tuple(subject_ids), species, counts)
+    return AbundanceTable(tuple(subject_ids), species, _Parsed(counts))
 
 
 def _parse_time_cells(cells: list[tuple[int, str]]) -> list[TimeLabel]:
@@ -471,7 +469,7 @@ def parse_longitudinal(text: Union[str, IO[str], Iterable[str]]) -> AbundanceTab
     return AbundanceTable(
         tuple(subjects_raw[r] for r in order),
         species,
-        count_rows[order],
+        _Parsed(count_rows[order]),
         times=tuple(times_raw[r] for r in order),
     )
 
@@ -483,7 +481,7 @@ def parse_location(text: Union[str, IO[str], Iterable[str]]) -> LocationTable:
     )
     if distances is None:
         distances = tuple(float(i) for i in range(1, len(labels) + 1))
-    return LocationTable(tuple(species_ids), labels, counts, distances)
+    return LocationTable(tuple(species_ids), labels, _Parsed(counts), distances)
 
 
 def _fmt_number(x: float) -> str:
@@ -495,23 +493,6 @@ def _fmt_number(x: float) -> str:
 
 def _fmt_time(t: TimeLabel) -> str:
     return t.isoformat() if isinstance(t, date) else str(t)
-
-
-_NEEDS_QUOTES = re.compile('[,"\n\r]')
-
-
-def _quote(field: str, first: bool) -> str:
-    if _NEEDS_QUOTES.search(field) or (first and _is_comment(field)):
-        return '"' + field.replace('"', '""') + '"'
-    return field
-
-
-def _emit(rows: Iterable[Sequence[str]]) -> str:
-    out = io.StringIO()
-    for row in rows:
-        out.write(",".join([_quote(f, i == 0) for i, f in enumerate(row)]))
-        out.write("\n")
-    return out.getvalue()
 
 
 def format_cross_sectional(table: AbundanceTable) -> str:

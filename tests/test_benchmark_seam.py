@@ -1,17 +1,26 @@
-"""The benchmark's traced run still finds every layer entry point.
+"""The benchmark's traced run still finds every layer entry point, and the
+CLI calls the names it wraps.
 
 ``benchmark/spans.py`` wraps functions by (module, attribute) name, so a
 renamed or removed binding would break ``benchmark/run.py --trace 1``
-without failing any other test. It imports only the standard library and
-is loaded here from its file.
+without failing any other test. The CLI loads its layers on first use; a
+runner that imported a layer function into its own scope would skip the
+wrapper set on ``taylorlaw.cli``, and the traced run would count nothing
+for that layer. ``spans.py`` imports only the standard library and is
+loaded here from its file.
 """
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import EXACT_TABLE_CSV, LOCATION_CSV, synthetic_longitudinal
+from taylorlaw import cli
 
 SPANS = Path(__file__).resolve().parents[1] / "benchmark" / "spans.py"
 
@@ -31,3 +40,58 @@ def _entry_points():
 def test_entry_point_is_a_callable_attribute(module_name, attr):
     module = importlib.import_module(module_name)
     assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+_EXACT = ["--input", "{root}/exact.csv", "--scheme", "subjects_across_species"]
+_CLASSIFY = ["classify", *_EXACT]
+_SIMULATE = ["simulate", "--kind"]
+
+# A command that reaches each name the traced run wraps on taylorlaw.cli.
+_REACHED_BY = {
+    "parse_cross_sectional": _CLASSIFY,
+    "parse_longitudinal": ["fit-taylor", "--input", "{root}/longi.csv"]
+    + ["--scheme", "per_subject_time", "--subject", "subj0"],
+    "parse_location": ["fit-dispersion", "--input", "{root}/loc.csv"],
+    "extract_pairs": _CLASSIFY,
+    "fit_log_ols": _CLASSIFY,
+    "fit_nls": ["fit-taylor", *_EXACT, "--method", "nls"],
+    "classify": _CLASSIFY,
+    "simulate_poisson": [*_SIMULATE, "poisson"],
+    "simulate_thomas": [*_SIMULATE, "thomas"],
+    "simulate_hardcore": [*_SIMULATE, "hardcore"],
+    "taylor_experiment": ["experiment", "--kind", "poisson_sweep", "--reps", "2"]
+    + ["--levels", "50,100,200"],
+    "estimate_pcf": ["pcf", "--kind", "poisson"],
+    "fit_pcf": ["pcf", "--kind", "poisson"],
+    "build_fit_report": _CLASSIFY,
+    "render_report": _CLASSIFY,
+    "emit_svg_plot": [*_CLASSIFY, "--plot", "{root}/fit.svg"],
+}
+# Wrapped names that no command calls, with the reason.
+_NOT_CALLED = {
+    "fit_dispersion": "fit-dispersion fits the whole table with fit_dispersion_table",
+}
+
+
+def test_every_cli_entry_point_has_a_command():
+    wrapped = {attr for module, attr in _entry_points() if module == "taylorlaw.cli"}
+    assert wrapped == set(_REACHED_BY) | set(_NOT_CALLED)
+
+
+@pytest.mark.parametrize("attr", sorted(_REACHED_BY))
+def test_cli_calls_the_name_the_trace_wraps(attr, tmp_path, monkeypatch):
+    (tmp_path / "exact.csv").write_text(EXACT_TABLE_CSV)
+    (tmp_path / "longi.csv").write_text(synthetic_longitudinal(2, 5, 4))
+    (tmp_path / "loc.csv").write_text(LOCATION_CSV)
+    original = getattr(cli, attr)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(attr)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, attr, counting)
+    argv = [arg.format(root=tmp_path) for arg in _REACHED_BY[attr]]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert calls, f"{' '.join(argv)} did not call taylorlaw.cli.{attr}"

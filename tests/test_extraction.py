@@ -226,6 +226,15 @@ class TestMVSeriesValidation:
         assert [p.variance for p in series.pairs] == [2.0, 4.0]
         assert len(series) == 2
 
+    def test_a_series_is_frozen_and_hashes_by_value(self):
+        pairs = (MVPair("a", 1.0, 2.0), MVPair("b", 3.0, 4.0))
+        series = MVSeries(None, pairs)
+        assert hash(series) == hash(MVSeries(None, pairs))
+        for field in ("scheme", "pairs"):
+            with pytest.raises(AttributeError, match=f"assign to field '{field}'"):
+                setattr(series, field, getattr(series, field))
+        assert repr(series).startswith("MVSeries(scheme=None, pairs=(MVPair(")
+
 
 def _random_table(n_rows, n_cols, seed):
     rng = np.random.default_rng(seed)

@@ -9,7 +9,6 @@ independent check on the hand-rolled minimizer.
 """
 
 import math
-from dataclasses import replace
 from unittest import mock
 
 import mpmath as mp
@@ -462,7 +461,7 @@ class TestCrossoverDensity:
     def test_undefined_when_exponent_not_identified(self):
         fit = PowerLawFit(2.0, 1.5, 0.1, 0.1, 0.9, 4, 0, "nls", converged=False)
         assert pacd(fit) == PacdResult(None, False, "exponent b not identified")
-        assert pacd(replace(fit, converged=True)).m0 == 0.25
+        assert pacd(fit._replace(converged=True)).m0 == 0.25
 
     @pytest.mark.parametrize(
         "a,b",
@@ -584,3 +583,15 @@ class TestFitInvariants:
     def test_invalid_fields_rejected(self, bad):
         with pytest.raises((ValueError, UsageError)):
             PowerLawFit(**self._kwargs(**bad))
+
+    @pytest.mark.parametrize("bad", [dict(a=0.0), dict(n_used=2), dict(method="magic")])
+    def test_replace_checks_like_the_constructor(self, bad):
+        fit = PowerLawFit(**self._kwargs())
+        with pytest.raises(ValueError):
+            fit._replace(**bad)
+
+    def test_a_fit_is_a_tuple_of_its_fields(self):
+        fit = PowerLawFit(**self._kwargs())
+        assert len(fit) == 11
+        assert fit == tuple(fit._asdict().values())
+        assert list(fit._asdict())[:3] == ["a", "b", "se_ln_a"]

@@ -621,6 +621,17 @@ class TestFitPcf:
 
 
 class TestPcfValueObjects:
+    def test_array_holders_are_frozen(self):
+        holders = [
+            (PointPattern(np.array([[0.5, 0.5]]), "manual", 0), ("points", "seed")),
+            (QuadratCounts(1, np.array([[1]])), ("q", "counts")),
+            (PcfEstimate(np.array([0.1]), np.array([1.0]), 0.01, 10), ("g", "n_points")),
+        ]
+        for obj, fields in holders:
+            for field in fields:
+                with pytest.raises(AttributeError, match=f"assign to field '{field}'"):
+                    setattr(obj, field, getattr(obj, field))
+
     def test_estimate_rejects_decreasing_radii(self):
         with pytest.raises(ValueError, match="increasing"):
             PcfEstimate(np.array([0.2, 0.1]), np.array([1.0, 1.0]), 0.01, 10)

@@ -1,50 +1,63 @@
-"""Start-up cost: no command loads scipy, and none needs it installed.
+"""Start-up cost: what ``import taylorlaw`` and each command load.
 
-Each case runs in a fresh interpreter, because this process has scipy
-loaded already (the tests use it as an oracle). The slope test's p-value
-is computed with ``math`` alone and the close-pair search with numpy
-alone, so the runtime needs numpy and nothing else.
+Each case runs ``python -m taylorlaw`` in a fresh interpreter, because
+this process has scipy and every layer loaded already (the tests use scipy
+as an oracle). The slope test's p-value is computed with ``math`` alone
+and the close-pair search with numpy alone, so the runtime needs numpy and
+nothing else. The bare import loads no submodule and no numpy; each
+command loads only the layers it calls, and none loads ``dataclasses``.
 """
 
+import functools
+import importlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+import taylorlaw
 from conftest import LOCATION_CSV, child_env, synthetic_longitudinal
 from taylorlaw.cli import COMMANDS
 
-# Runs ``main(argv)`` when argv is given, then prints the exit status and
-# the scipy modules loaded.
+# Runs ``python -m taylorlaw *argv`` when argv is given, else a bare
+# ``import taylorlaw``; then prints the exit status and the loaded modules
+# of the package, numpy, scipy and dataclasses.
 _CHILD = """
-import contextlib, io, json, sys
-import taylorlaw
-from taylorlaw.cli import main
+import contextlib, io, json, runpy, sys
 
 argv = json.loads(sys.argv[1])
 status = None
-if argv is not None:
+if argv is None:
+    import taylorlaw
+else:
+    sys.argv = ["taylorlaw", *argv]
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         try:
-            status = main(argv)
+            runpy.run_module("taylorlaw", run_name="__main__", alter_sys=True)
         except SystemExit as exc:
             status = exc.code
-loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
-print(json.dumps({"status": status, "scipy": loaded}))
+watched = ("taylorlaw", "numpy", "scipy", "dataclasses")
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] in watched)
+print(json.dumps({"status": status, "modules": loaded}))
 """
 
 
-def run_child(argv):
+@functools.cache
+def _run_child(argv_json):
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, json.dumps(argv)],
+        [sys.executable, "-c", _CHILD, argv_json],
         capture_output=True,
         check=True,
         env=child_env(),
         text=True,
     )
     return json.loads(proc.stdout)
+
+
+def run_child(argv):
+    return _run_child(json.dumps(argv))
 
 
 @pytest.fixture(scope="module")
@@ -58,31 +71,57 @@ def inputs(tmp_path_factory):
 _NOISY = ["--input", "{root}/noisy.csv"]
 _SPECIES = [*_NOISY, "--scheme", "species_across_subjects"]
 
-# (id, argv or None for a bare import, exit status); every command of the
-# CLI is named at least once.
+_LAYERS = {"tables", "extraction", "fitting", "pointprocess", "dispersion", "svgplot"}
+_TABLE_FIT = _LAYERS - {"pointprocess", "dispersion", "svgplot"}
+_POINTS = _LAYERS - {"dispersion", "svgplot"}
+
+# (id, argv or None for a bare import, exit status, the layers it may
+# load); every command of the CLI is named at least once, and both kinds
+# of plot load svgplot.
 _COMMANDS = [
-    ("import", None, None),
-    ("pacd-direct", ["pacd", "--a", "2", "--b", "1.5"], 0),
-    ("pacd-input", ["pacd", *_SPECIES], 0),
-    ("classify", ["classify", *_SPECIES], 0),
+    ("import", None, None, set()),
+    ("pacd-direct", ["pacd", "--a", "2", "--b", "1.5"], 0, {"fitting"}),
+    ("pacd-input", ["pacd", *_SPECIES], 0, _TABLE_FIT),
+    ("classify", ["classify", *_SPECIES], 0, _TABLE_FIT),
+    (
+        "classify-plot",
+        ["classify", *_SPECIES, "--plot", "{root}/classify.svg"],
+        0,
+        _TABLE_FIT | {"svgplot"},
+    ),
     (
         "fit-taylor-all-nls",
         ["fit-taylor", *_NOISY, "--scheme", "per_subject_species"]
         + ["--subject", "all", "--method", "nls"],
         0,
+        _TABLE_FIT,
     ),
     (
         "experiment-poisson",
         ["experiment", "--kind", "poisson_sweep", "--reps", "2"]
         + ["--levels", "50,100,200"],
         0,
+        _POINTS,
     ),
-    ("simulate-poisson", ["simulate", "--kind", "poisson"], 0),
-    ("simulate-hardcore", ["simulate", "--kind", "hardcore"], 0),
-    ("pcf", ["pcf", "--kind", "poisson"], 0),
-    ("fit-dispersion", ["fit-dispersion", "--input", "{root}/loc.csv"], 0),
-    ("usage-error", ["simulate", "--kind", "brownian"], 1),
+    (
+        "experiment-plot",
+        ["experiment", "--kind", "poisson_sweep", "--reps", "2"]
+        + ["--levels", "50,100,200", "--plot", "{root}/experiment.svg"],
+        0,
+        _POINTS | {"svgplot"},
+    ),
+    ("simulate-poisson", ["simulate", "--kind", "poisson"], 0, _POINTS),
+    ("simulate-hardcore", ["simulate", "--kind", "hardcore"], 0, _POINTS),
+    ("pcf", ["pcf", "--kind", "poisson"], 0, _POINTS),
+    (
+        "fit-dispersion",
+        ["fit-dispersion", "--input", "{root}/loc.csv"],
+        0,
+        _LAYERS - {"pointprocess", "svgplot"},
+    ),
+    ("usage-error", ["simulate", "--kind", "brownian"], 1, set()),
 ]
+_IDS = [case[0] for case in _COMMANDS]
 
 
 def _formatted(argv, root):
@@ -90,15 +129,49 @@ def _formatted(argv, root):
 
 
 def test_table_names_every_command():
-    named = {argv[0] for _, argv, _ in _COMMANDS if argv}
+    named = {argv[0] for _, argv, _, _ in _COMMANDS if argv}
     assert named == set(COMMANDS)
 
 
-@pytest.mark.parametrize(
-    "argv,status", [case[1:] for case in _COMMANDS], ids=[case[0] for case in _COMMANDS]
-)
+@pytest.mark.parametrize("argv,status", [case[1:3] for case in _COMMANDS], ids=_IDS)
 def test_command_loads_no_scipy(inputs, argv, status):
-    assert run_child(_formatted(argv, inputs)) == {"status": status, "scipy": []}
+    child = run_child(_formatted(argv, inputs))
+    assert child["status"] == status
+    assert [m for m in child["modules"] if m.partition(".")[0] == "scipy"] == []
+
+
+@pytest.mark.parametrize("argv,status,allowed", [case[1:] for case in _COMMANDS], ids=_IDS)
+def test_command_loads_only_its_layers(inputs, argv, status, allowed):
+    child = run_child(_formatted(argv, inputs))
+    assert child["status"] == status
+    assert "dataclasses" not in child["modules"]
+    layers = {m.split(".")[1] for m in child["modules"] if m.startswith("taylorlaw.")}
+    assert layers & _LAYERS <= allowed
+    assert ("svgplot" in layers) == ("--plot" in (argv or ()))
+    if argv is None:
+        assert layers == set()
+    if not allowed:
+        assert "numpy" not in child["modules"]
+
+
+@pytest.mark.parametrize("name", taylorlaw.__all__)
+def test_public_name_is_its_home_modules_object(name):
+    home = importlib.import_module(f"taylorlaw.{taylorlaw._HOME[name]}")
+    value = getattr(taylorlaw, name)
+    assert value is getattr(home, name)
+    assert getattr(value, "__module__", home.__name__) == home.__name__
+
+
+def test_star_import_and_dir_list_every_public_name():
+    namespace = {}
+    exec("from taylorlaw import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(taylorlaw.__all__)
+    assert set(taylorlaw.__all__) <= set(dir(taylorlaw))
+
+
+def test_unknown_public_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'fit_everything'"):
+        taylorlaw.fit_everything
 
 
 # Runs the CLI with every scipy import failing, as where only numpy is

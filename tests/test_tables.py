@@ -210,6 +210,56 @@ class TestTableInvariants:
         with pytest.raises(ValueError):
             table.counts[0, 0] = 9.0
 
+    def test_fields_cannot_be_rebound_or_deleted(self):
+        table = parse_longitudinal("subject_id,time,sp1\na,0,1\na,1,2\n")
+        assert table.subjects() == ("a",)  # fills the lazy row index too
+        location = parse_location("species,x,y\ndistance,1,2\nsp,5,6\n")
+        fields = ["subject_ids", "species_ids", "counts", "times", "_rows"]
+        for obj, field in [(table, f) for f in fields] + [(location, "distances")]:
+            with pytest.raises(AttributeError, match=f"assign to field '{field}'"):
+                setattr(obj, field, getattr(obj, field))
+            with pytest.raises(AttributeError, match=f"delete field '{field}'"):
+                delattr(obj, field)
+        assert table.subjects() == ("a",)
+
+    def test_repr_lists_the_fields(self):
+        table = AbundanceTable(("a",), ("s1",), [[1.0]])
+        assert repr(table) == (
+            "AbundanceTable(subject_ids=('a',), species_ids=('s1',), "
+            "counts=array([[1.]]), times=None)"
+        )
+
+    # The parser hands its fresh matrix over without a copy; both routes,
+    # one-block and checked (a quoted cell), in every layout.
+    @pytest.mark.parametrize(
+        "parse,text",
+        [
+            (parse_cross_sectional, 'subject_id,sp1\na,"1"\n'),
+            (parse_longitudinal, "subject_id,time,sp1\nb,0,2\na,0,1\nb,1,3\n"),
+            (parse_longitudinal, 'subject_id,time,sp1\nb,0,2\na,0,"1"\nb,1,3\n'),
+            (parse_location, "species,x,y\ndistance,1,2\nsp,1,2\n"),
+            (parse_location, 'species,x,y\ndistance,1,2\nsp,1,"2"\n'),
+        ],
+    )
+    def test_parsed_counts_are_read_only(self, parse, text):
+        with pytest.raises(ValueError):
+            parse(text).counts[0, 0] = 9.0
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda c: AbundanceTable(("a",), ("s1", "s2"), c),
+            lambda c: LocationTable(("sp",), ("x", "y"), c, (1.0, 2.0)),
+        ],
+        ids=["abundance", "location"],
+    )
+    def test_constructor_keeps_a_copy_of_the_callers_counts(self, make):
+        counts = np.array([[1.0, 2.0]])
+        table = make(counts)
+        counts[0, 0] = 9.0
+        assert counts.flags.writeable
+        assert table.counts[0, 0] == 1.0
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             AbundanceTable(("a",), ("s1", "s2"), np.array([[1.0]]))
