@@ -33,6 +33,7 @@ _HOMES = {
         "MVSeries",
         "Scheme",
         "extract_pairs",
+        "extract_subjects",
         "mean_convert",
         "sample_variance",
     ),

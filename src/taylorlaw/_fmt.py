@@ -35,8 +35,13 @@ def _quote(field: str, first: bool) -> str:
 
 
 def _emit(rows: Iterable[Sequence[str]]) -> str:
+    """CSV text of ``rows``. The quoting regex runs once over a row's joined
+    fields; only a row that it matches, or whose first field reads as a
+    comment, is quoted field by field."""
     out = io.StringIO()
     for row in rows:
-        out.write(",".join([_quote(f, i == 0) for i, f in enumerate(row)]))
+        if _NEEDS_QUOTES.search("".join(row)) or _is_comment(row[0]):
+            row = [_quote(f, i == 0) for i, f in enumerate(row)]
+        out.write(",".join(row))
         out.write("\n")
     return out.getvalue()

@@ -26,6 +26,7 @@ import math
 import numbers
 import re
 import sys
+from itertools import compress
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import _HOMES
@@ -41,7 +42,7 @@ if TYPE_CHECKING:
     from .tables import AbundanceTable
 
 # The names each layer lends the runners: its public names, and fitting's
-# split_usable. A name is bound here when a runner first loads its layer,
+# usable_mask. A name is bound here when a runner first loads its layer,
 # or when it is first read as an attribute (benchmark/spans.py reads the
 # names it wraps that way), and is never rebound: the runners look it up
 # in this module, so they call whatever wrapper was set here.
@@ -49,7 +50,7 @@ _LAYERS = {
     layer: _HOMES[layer]
     for layer in ("tables", "extraction", "fitting", "dispersion", "pointprocess", "svgplot")
 }
-_LAYERS["fitting"] += ("split_usable",)
+_LAYERS["fitting"] += ("usable_mask",)
 
 
 def _load(*layers: str) -> None:
@@ -199,7 +200,8 @@ def build_fit_report(
     except TaylorLawError as exc:
         call = None
         call_error = str(exc)
-    labels = tuple(p.label for p in split_usable(series, fit.method)[1])
+    dropped = ~usable_mask(series.means, series.variances, fit.method)
+    labels = tuple(compress(series.labels, dropped.tolist()))
     return FitReport(scheme, fit, crossover, call, call_error, labels)
 
 
@@ -382,22 +384,35 @@ def _run_table_fit(config: RunConfig) -> dict:
     if config.normalize:
         table = _normalize_table(table)
     value = {"command": config.command, "normalize": config.normalize}
-
-    def fit(scheme: Scheme) -> tuple[MVSeries, FitReport]:
-        series = extract_pairs(table, scheme)
-        return series, build_fit_report(
-            series, scheme, config.method, config.alpha, config.min_pairs
-        )
-
     if config.scheme_tag in _PER_SUBJECT and config.subject == "all":
+        # Each subject is still fitted by its own calls, so a traced run
+        # sees one fit per subject; the first fit of a block of subjects
+        # with equal row counts fits the whole block.
+        def report(item: tuple[str, MVSeries | DataError]) -> dict:
+            series = item[1]
+            if isinstance(series, DataError):
+                raise series
+            return _report_dict(
+                build_fit_report(
+                    series, series.scheme, config.method, config.alpha, config.min_pairs
+                )
+            )
+
         value["reports"] = _fit_each(
             "subject",
-            [Scheme(config.scheme_tag, s) for s in table.subjects()],
-            lambda scheme: _report_dict(fit(scheme)[1]),
-            lambda scheme, error: {"scheme": scheme._asdict(), "error": error},
+            zip(table.subjects(), extract_subjects(table, config.scheme_tag)),
+            report,
+            lambda item, error: {
+                "scheme": Scheme(config.scheme_tag, item[0])._asdict(),
+                "error": error,
+            },
         )
         return value
-    series, report = fit(Scheme(config.scheme_tag, config.subject))
+    scheme = Scheme(config.scheme_tag, config.subject)
+    series = extract_pairs(table, scheme)
+    report = build_fit_report(
+        series, scheme, config.method, config.alpha, config.min_pairs
+    )
     if config.plot_path:
         _load("svgplot")
         emit_svg_plot(series, report.fit, config.plot_path)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -29,7 +28,7 @@ from .errors import (
     InsufficientDataError,
     UsageError,
 )
-from .fitting import _profile_minimum
+from .fitting import _newton_minima
 
 _GRID_POINTS = 161
 _C_FLOOR = 1e-6
@@ -225,11 +224,24 @@ def fit_dispersion_table(
     log_x = np.log(x)
     log_n = np.log(ns[todo])
     profiles = _grid_profile(log_x, x, log_n, grid)
-    for i, y, profile in zip(todo, log_n, profiles.T):
+    best = profiles.argmin(axis=0)
+
+    def objective(cs: np.ndarray, rows) -> tuple:
+        solves = np.empty(len(cs), dtype=object)
+        for j, (y, c) in enumerate(zip(log_n[rows], cs.tolist())):
+            solves[j] = _inner_solve(log_x, x, y, c)
+        return (*np.array([solve[:3] for solve in solves]).T, solves)
+
+    c_hats, solves = _newton_minima(
+        grid[np.maximum(best - 1, 0)],
+        grid[np.minimum(best + 1, len(grid) - 1)],
+        grid[best],
+        objective,
+    )
+    for i, profile, c_hat, solve in zip(todo, profiles.T, c_hats.tolist(), solves):
         flat = float(profile.max() - profile.min()) <= max(
             1e-6 * float(profile.min()), 1e-12
         )
-        c_hat, solve = _profile_minimum(grid, profile, partial(_inner_solve, log_x, x, y))
         if solve.rank < 3:
             results[i] = DegenerateDesignError(
                 "degenerate design: distance layout leaves the model underdetermined"
@@ -256,7 +268,7 @@ def _c_grid(x: np.ndarray, c_interval: tuple[float, float]) -> np.ndarray:
     underflows below the smallest normal float, is lowered to the largest c
     for which it is a normal float.
     """
-    if len(np.unique(x)) < 4:
+    if len(set(x.tolist())) < 4:  # np.unique would import numpy.ma
         raise DegenerateDesignError(
             "degenerate design: need at least 4 distinct distances"
         )
@@ -287,7 +299,7 @@ def fit_dispersion(
 
     A scan of 161 points over ``c_interval`` (see ``_c_grid`` for its ends)
     locates the best bracket, then Newton steps with Kaufman's
-    Gauss-Newton curvature pin the minimizer (``_profile_minimum``);
+    Gauss-Newton curvature pin the minimizer (``_newton_minima``);
     (a, b, d) are always the exact linear least-squares solution at the
     current c. This is ``fit_dispersion_table`` for one species.
     """

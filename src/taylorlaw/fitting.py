@@ -14,6 +14,14 @@ caller-chosen significance level.
 
 The aggregation critical density m0 = exp(ln a / (1 - b)) is the density
 at which variance equals the mean.
+
+Both fits work on blocks of series of one length (see ``extraction``):
+``fit_log_ols(series)`` and ``fit_nls(series)`` fit the series' whole
+block in grouped numpy passes at their first call and keep every row's
+result, or its data error, on the block; a series built on its own is a
+block of one row. Each row is summed as a lone 1-D series is (pairwise
+sums along the row, one BLAS dot or matrix-vector product per row), so a
+row's fit has the same bits in a block as alone.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ import numpy as np
 
 from ._records import _Checked
 from .errors import (
+    DataError,
     DegenerateDesignError,
     DomainError,
     InsufficientDataError,
@@ -32,7 +41,7 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
-    from .extraction import MVPair, MVSeries
+    from .extraction import MVSeries
 
 PATTERNS = ("aggregated", "random", "regular")
 
@@ -42,6 +51,10 @@ _B_GRID_POINTS = 161
 _B_HALF_WIDTH = 3.0
 _NEWTON_RTOL = 1e-11
 _NEWTON_STEPS = 30
+# The b grid around the log-space slope, and the values in one chunk of
+# the batched grid: (rows, grid points, pairs).
+_B_OFFSETS = _B_HALF_WIDTH * np.linspace(-1.0, 1.0, _B_GRID_POINTS)
+_GRID_ELEMENTS = 2**16
 
 
 class _PowerLawFitFields(NamedTuple):
@@ -96,16 +109,55 @@ class Classification(NamedTuple):
     dof: int
 
 
-def split_usable(
-    series: MVSeries, method: str = "log_ols"
-) -> tuple[list[MVPair], list[MVPair]]:
-    """Partition pairs into (usable, dropped): log_ols needs M>0 and V>0, nls M>0."""
-    used: list[MVPair] = []
-    dropped: list[MVPair] = []
-    for p in series.pairs:
-        usable = p.mean > 0 and (p.variance > 0 or method == "nls")
-        (used if usable else dropped).append(p)
-    return used, dropped
+def usable_mask(
+    means: np.ndarray, variances: np.ndarray, method: str = "log_ols"
+) -> np.ndarray:
+    """The one rule for the pairs a fit uses, as a boolean mask over
+    ``means``: log_ols needs M > 0 and V > 0, nls M > 0. It applies to one
+    series' arrays or to a block's (rows, pairs) arrays alike."""
+    usable = means > 0
+    if method != "nls":
+        usable &= variances > 0
+    return usable
+
+
+def _by_count(mask: np.ndarray):
+    """(count, rows) for each distinct number of True values in a row of
+    ``mask``, in increasing count. (``np.unique`` would import ``numpy.ma``,
+    some 10 ms of a command's start-up.)"""
+    counts = mask.sum(axis=1)
+    for count in sorted(set(counts.tolist())):
+        yield count, np.flatnonzero(counts == count)
+
+
+def _packed(
+    values: np.ndarray, mask: np.ndarray, rows: np.ndarray, count: int
+) -> np.ndarray:
+    """The masked values of ``rows``, each row holding ``count`` of them:
+    a (len(rows), count) array whose rows are the 1-D arrays a lone series
+    would select, in order."""
+    return values[rows][mask[rows]].reshape(len(rows), count)
+
+
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x[i] @ y[i] for each row of two C-contiguous (rows, n) arrays: one
+    BLAS dot per row, the same sum a lone 1-D ``@`` makes."""
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+
+
+def _block_fit(series: MVSeries, fit_rows, *args) -> PowerLawFit:
+    """Row ``series._row`` of ``fit_rows(means, variances, *args)`` over the
+    series' block. The block keeps every row's result, so the first fit of
+    any row fits them all; a row that fails raises its own error."""
+    block = series._block
+    key = (fit_rows, *args)
+    results = block.fits.get(key)
+    if results is None:
+        results = block.fits[key] = fit_rows(block.means, block.variances, *args)
+    result = results[series._row]
+    if isinstance(result, DataError):
+        raise result.with_traceback(None)
+    return result
 
 
 class _OlsLine(NamedTuple):
@@ -119,17 +171,30 @@ class _OlsLine(NamedTuple):
     sxx: float
 
 
-def _ols_line(x: np.ndarray, y: np.ndarray) -> _OlsLine:
-    """Ordinary least squares of y on x; x must not be constant."""
-    xbar, ybar = x.mean(), y.mean()
-    sxx = float(np.sum((x - xbar) ** 2))
-    slope = float(np.sum((x - xbar) * (y - ybar)) / sxx)
-    intercept = float(ybar - slope * xbar)
-    resid = y - (intercept + slope * x)
-    rss = float(resid @ resid)
-    tss = float(np.sum((y - ybar) ** 2))
-    r_squared = 1.0 if tss == 0.0 else _clamp_unit(1.0 - rss / tss)
-    return _OlsLine(slope, intercept, rss, r_squared, xbar, sxx)
+def _ols_lines(x: np.ndarray, y: np.ndarray) -> list[_OlsLine]:
+    """Ordinary least squares of y on x in each row of two (rows, n) arrays;
+    no row of x may be constant. Each row is summed along its own length
+    and its RSS is one BLAS dot, as for a lone 1-D row, so a row's line
+    does not depend on the rows beside it."""
+    xbar, ybar = x.mean(axis=1), y.mean(axis=1)
+    dx, dy = x - xbar[:, None], y - ybar[:, None]
+    sxx = np.sum(dx**2, axis=1)
+    slope = np.sum(dx * dy, axis=1) / sxx
+    intercept = ybar - slope * xbar
+    resid = y - (intercept[:, None] + slope[:, None] * x)
+    rss = _row_dots(resid, resid)
+    tss = np.sum(dy**2, axis=1)
+    return [
+        _OlsLine(b, c, r, 1.0 if t == 0.0 else _clamp_unit(1.0 - r / t), xb, sx)
+        for b, c, r, t, xb, sx in zip(
+            slope.tolist(),
+            intercept.tolist(),
+            rss.tolist(),
+            tss.tolist(),
+            xbar.tolist(),
+            sxx.tolist(),
+        )
+    ]
 
 
 def _clamp_unit(x: float) -> float:
@@ -140,19 +205,38 @@ def fit_log_ols(series: MVSeries, min_pairs: int = 3) -> PowerLawFit:
     """Least squares of ln V on ln M after dropping non-positive pairs.
 
     ``min_pairs`` below 3 is treated as 3 (two parameters need a residual
-    degree of freedom).
+    degree of freedom). The series' whole block is fitted at the first
+    call (``_log_ols_rows``).
     """
-    min_pairs = max(int(min_pairs), 3)
-    used, dropped = split_usable(series)
-    if len(used) < min_pairs:
-        raise InsufficientDataError(
-            f"insufficient data: {len(used)} usable pairs, need {min_pairs}"
-        )
-    x = np.log([p.mean for p in used])
-    y = np.log([p.variance for p in used])
-    if np.all(x == x[0]):
-        raise DegenerateDesignError("degenerate design: all retained means are equal")
-    line = _ols_line(x, y)
+    return _block_fit(series, _log_ols_rows, max(int(min_pairs), 3))
+
+
+def _log_ols_rows(means: np.ndarray, variances: np.ndarray, min_pairs: int) -> list:
+    """``fit_log_ols`` of each row of a block: its fit, or the data error in
+    its place. Rows with the same usable count are fitted together."""
+    width = means.shape[1]
+    usable = usable_mask(means, variances)
+    results: list = [None] * len(means)
+    for n, rows in _by_count(usable):
+        if n < min_pairs:
+            for i in rows:
+                results[i] = InsufficientDataError(
+                    f"insufficient data: {n} usable pairs, need {min_pairs}"
+                )
+            continue
+        x = np.log(_packed(means, usable, rows, n))
+        y = np.log(_packed(variances, usable, rows, n))
+        equal = (x == x[:, :1]).all(axis=1)
+        for i in rows[equal]:
+            results[i] = DegenerateDesignError(
+                "degenerate design: all retained means are equal"
+            )
+        for i, line in zip(rows[~equal].tolist(), _ols_lines(x[~equal], y[~equal])):
+            results[i] = _log_ols_fit(line, n, width)
+    return results
+
+
+def _log_ols_fit(line: _OlsLine, n: int, width: int) -> PowerLawFit | DataError:
     # Means equal but for rounding give a near-vertical line whose
     # intercept can leave the range where exp is a positive float.
     try:
@@ -160,11 +244,10 @@ def fit_log_ols(series: MVSeries, min_pairs: int = 3) -> PowerLawFit:
     except OverflowError:
         a = math.inf
     if not 0.0 < a < math.inf:
-        raise DegenerateDesignError(
+        return DegenerateDesignError(
             f"degenerate design: coefficient a = exp({line.intercept:.6g}) "
             "is outside the float range"
         )
-    n = len(used)
     sigma2 = line.rss / (n - 2)
     return PowerLawFit(
         a=a,
@@ -173,73 +256,121 @@ def fit_log_ols(series: MVSeries, min_pairs: int = 3) -> PowerLawFit:
         se_b=math.sqrt(sigma2 / line.sxx),
         r_squared=line.r_squared,
         n_used=n,
-        n_dropped=len(series.pairs) - n,
+        n_dropped=width - n,
         method="log_ols",
         rss_log=line.rss,
     )
 
 
-def _profile_minimum(grid: np.ndarray, profile: np.ndarray, objective) -> tuple:
-    """Minimizer of a one-dimensional profile sampled as ``profile`` on ``grid``.
+def _newton_minima(
+    lo: np.ndarray, hi: np.ndarray, x: np.ndarray, objective, outward=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimizers of one-dimensional profiles, one per row, each sampled on
+    a grid: ``x`` holds each row's grid argmin, and ``lo`` and ``hi`` the
+    grid points beside it (the argmin itself at a grid edge).
+    ``objective(points, rows)`` returns, for those rows at those points,
+    arrays of the profile's value, slope and curvature and a fourth array
+    of what the caller keeps from a point.
 
-    ``objective(x)`` returns a tuple that starts with the profile's value,
-    slope and curvature at x. Newton steps start at the grid's argmin and
-    stay inside the bracket one grid step to either side: the sign of each
-    slope moves one end of the bracket to the current point, and a step
-    that would leave the bracket, or a curvature that is not positive, is
-    replaced by bisection. A slope pointing out of the grid at a grid edge
-    does not close the bracket: the grid step can hide a lower minimum
-    inside it, and near the c floor of the dispersion fit that slope is
-    rounding noise. The steps stop once one is below ``_NEWTON_RTOL`` of
-    |x|, at a zero slope, or after ``_NEWTON_STEPS``. The grid point is kept
-    when its value is lower than at the last point, as when the profile is
-    flat to rounding. Returns the minimizer and ``objective``'s tuple there.
+    Newton steps start at the argmin and stay inside the bracket [lo, hi]:
+    the sign of each slope moves one end of the bracket to the current
+    point, and a step that would leave the bracket, or a curvature that is
+    not positive, is replaced by bisection. A slope pointing out of the
+    grid at a grid edge does not close the bracket: the grid step can hide
+    a lower minimum inside it, and near the c floor of the dispersion fit
+    that slope is rounding noise. A row stops once its step is below
+    ``_NEWTON_RTOL`` of |x|, at a zero slope, or after ``_NEWTON_STEPS``;
+    the rows still stepping are evaluated together. A row keeps its grid
+    point when the value there is lower than at its last point, as when
+    the profile is flat to rounding.
+
+    ``outward`` (+1 where the argmin is the lower grid edge, -1 the upper,
+    0 elsewhere) adds a stop for a row whose slope at that edge points out
+    of the grid. Bisected towards the edge, such a row would spend the step
+    cap and end at the grid point unless the profile dips below it within
+    the grid step; it stops once a point inside has a slope that also
+    points out and a value above the edge's, and keeps the grid point.
+
+    Returns each row's minimizer and the fourth array there.
     """
-    best = int(np.argmin(profile))
-    lo = float(grid[max(best - 1, 0)])
-    hi = float(grid[min(best + 1, len(grid) - 1)])
-    x = float(grid[best])
-    start = here = objective(x)
+    at, lo, hi = x, lo.copy(), hi.copy()
+    x = x.copy()
+    start = objective(x, slice(None))
+    here = [value.copy() for value in start]
+    if outward is not None:
+        outward = np.where(outward * start[1] > 0, outward, 0.0)
+    active = np.ones(len(x), dtype=bool)
     for _ in range(_NEWTON_STEPS):
-        _, slope, curvature = here[:3]
-        if slope == 0 or math.isnan(slope):  # stationary, or not a number
-            break
+        idx = np.flatnonzero(active)
+        xi, lo_i, hi_i = x[idx], lo[idx], hi[idx]
+        slope, curvature = here[1][idx], here[2][idx]
+        stop = (slope == 0) | np.isnan(slope)  # stationary, or not a number
+        if outward is not None:
+            stop |= (outward[idx] * slope > 0) & (here[0][idx] > start[0][idx])
         # The end on the slope's downhill side stays; the other moves to x,
         # unless x is that end, at a grid edge (see the docstring).
-        if slope > 0 and x > lo:
-            hi = x
-        elif slope < 0 and x < hi:
-            lo = x
-        newton = x - slope / curvature if curvature > 0 else math.nan
-        step = newton if lo < newton < hi else 0.5 * (lo + hi)
-        tol = _NEWTON_RTOL * abs(x)
-        if abs(newton - x) <= tol or abs(step - x) <= tol:
+        hi_i = np.where((slope > 0) & (xi > lo_i), xi, hi_i)
+        lo_i = np.where((slope < 0) & (xi < hi_i), xi, lo_i)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = np.where(curvature > 0, xi - slope / curvature, np.nan)
+        step = np.where((lo_i < newton) & (newton < hi_i), newton, 0.5 * (lo_i + hi_i))
+        tol = _NEWTON_RTOL * np.abs(xi)
+        stop |= (np.abs(newton - xi) <= tol) | (np.abs(step - xi) <= tol)
+        lo[idx], hi[idx] = lo_i, hi_i
+        active[idx[stop]] = False
+        move = idx[~stop]
+        if not move.size:
             break
-        x = step
-        here = objective(x)
-    if here[0] <= start[0]:
-        return x, here
-    return float(grid[best]), start
+        x[move] = step[~stop]
+        for kept, value in zip(here, objective(x[move], move)):
+            kept[move] = value
+    better = here[0] <= start[0]
+    return np.where(better, x, at), np.where(better, here[3], start[3])
 
 
-def _raw_profile(b, m: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """RSS of V on a*M^b at each exponent in ``b``, with a = sum(v m^b) /
+def _raw_profile(
+    b: np.ndarray, m: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """RSS of V on a*M^b at each exponent of each row of ``b`` (rows, k),
+    for the rows of ``m`` and ``v`` (rows, n), with a = sum(v m^b) /
     sum(m^2b) exact for that b, and the a. The RSS is summed from the
     residuals, not from sum(v^2) - a sum(v m^b), which cancels; it is inf
     where a value leaves the float range. Call under ``np.errstate``."""
-    powers = m ** np.asarray(b)[..., None]
-    a = powers @ v / np.einsum("...i,...i->...", powers, powers)
+    powers = m[:, None, :] ** b[:, :, None]
+    a = np.matmul(powers, v[:, :, None])[..., 0] / np.einsum(
+        "...i,...i->...", powers, powers
+    )
     powers *= -a[..., None]
-    powers += v
+    powers += v[:, None, :]
     rss = np.einsum("...i,...i->...", powers, powers)
     return np.where(np.isfinite(rss), rss, np.inf), a
 
 
+def _grid_scan(
+    b0: np.ndarray, m: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The argmin, minimum and spread (max - min) of each row's profile on
+    its grid b0 + ``_B_OFFSETS``. The rows are scanned in chunks whose
+    (rows, grid, pairs) block of powers holds at most ``_GRID_ELEMENTS``
+    values, or one row when a row alone holds more."""
+    best = np.empty(len(m), dtype=np.intp)
+    low, spread = np.empty(len(m)), np.empty(len(m))
+    step = max(1, _GRID_ELEMENTS // (_B_GRID_POINTS * m.shape[1]))
+    for i in range(0, len(m), step):
+        rows = slice(i, i + step)
+        profile = _raw_profile(b0[rows, None] + _B_OFFSETS, m[rows], v[rows])[0]
+        best[rows] = profile.argmin(axis=1)
+        low[rows] = profile.min(axis=1)
+        spread[rows] = np.ptp(profile, axis=1)
+    return best, low, spread
+
+
 def _raw_objective(
-    b: float, m: np.ndarray, v: np.ndarray, log_m: np.ndarray
-) -> tuple[float, float, float, float]:
-    """The profile R(b) = min_a sum((v - a m^b)^2) at one exponent, with its
-    exact first and second derivatives and the a: the Newton objective.
+    b: np.ndarray, m: np.ndarray, v: np.ndarray, log_m: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """For each row, the profile R(b) = min_a sum((v - a m^b)^2) at that
+    row's exponent, with its exact first and second derivatives and the a:
+    the Newton objective.
 
     R is ``_raw_profile``'s RSS bit for bit (``np.power``, not ``**``, whose
     fast paths for b = 2, 0.5, -1, ... could round differently). With
@@ -248,20 +379,27 @@ def _raw_objective(
     projection gradient, and R'' = 2a^2 w.w - 2a sum(r w (ln m - l))
     - 2 (r.w)^2 / sum(p^2). As r is orthogonal to p, these equal the
     plain forms in p ln m, but they do not cancel where one pair's p
-    dwarfs the rest.
+    dwarfs the rest. Where R is not finite it is inf and the derivatives
+    are NaN.
     """
-    p = np.power(m, b)
-    s2 = np.einsum("i,i->", p, p)
-    a = float(p @ v / s2)
-    r = v - a * p
-    rss = float(np.einsum("i,i->", r, r))
-    if not math.isfinite(rss):
-        return math.inf, math.nan, math.nan, a
-    d = log_m - float(p @ (p * log_m) / s2)
+    p = np.power(m, b[:, None])
+    s2 = np.einsum("...i,...i->...", p, p)
+    a = _row_dots(p, v) / s2
+    r = v - a[:, None] * p
+    rss = np.einsum("...i,...i->...", r, r)
+    d = log_m - (_row_dots(p, p * log_m) / s2)[:, None]
     w = p * d
-    rw = float(r @ w)
-    curvature = 2.0 * a * (a * float(w @ w) - float(r @ (w * d))) - 2.0 * rw * rw / s2
-    return rss, -2.0 * a * rw, float(curvature), a
+    rw = _row_dots(r, w)
+    curvature = (
+        2.0 * a * (a * _row_dots(w, w) - _row_dots(r, w * d)) - 2.0 * rw * rw / s2
+    )
+    finite = np.isfinite(rss)
+    return (
+        np.where(finite, rss, np.inf),
+        np.where(finite, -2.0 * a * rw, np.nan),
+        np.where(finite, curvature, np.nan),
+        a,
+    )
 
 
 def fit_nls(series: MVSeries) -> PowerLawFit:
@@ -270,67 +408,126 @@ def fit_nls(series: MVSeries) -> PowerLawFit:
     Pairs with non-positive mean are dropped; zero variances are kept.
     a is solved exactly for each b, so only b is searched: 161 points over
     the log-space slope +- 3 (1 +- 3 when that fit fails), refined by Newton
-    steps on the profile's exact derivatives (``_profile_minimum``).
+    steps on the profile's exact derivatives (``_newton_minima``).
     ``converged`` is True only when the minimum lies inside that
     bracket and the profile is not flat to one part in 1e6; otherwise b is
     not identified and (a, b) is arbitrary. A profile with no finite value,
     or an a that is not a positive float, raises ``DegenerateDesignError``.
+    The series' whole block is fitted at the first call (``_nls_rows``).
     """
-    kept = split_usable(series, "nls")[0]
-    if len(kept) < 3:
-        raise InsufficientDataError(
-            f"insufficient data: {len(kept)} pairs with positive mean, need 3"
-        )
-    m = np.array([p.mean for p in kept])
-    v = np.array([p.variance for p in kept])
-    try:
-        b0 = fit_log_ols(series).b
-    except (InsufficientDataError, DegenerateDesignError):
-        b0 = 1.0
+    return _block_fit(series, _nls_rows)
 
+
+def _nls_rows(means: np.ndarray, variances: np.ndarray) -> list:
+    """``fit_nls`` of each row of a block: its fit, or the data error in its
+    place. Rows with the same number of positive means are fitted together."""
+    width = means.shape[1]
+    kept = usable_mask(means, variances, "nls")
+    b0 = np.array(
+        [
+            fit.b if isinstance(fit, PowerLawFit) else 1.0
+            for fit in _log_ols_rows(means, variances, 3)
+        ]
+    )
+    results: list = [None] * len(means)
+    for n, rows in _by_count(kept):
+        if n < 3:
+            for i in rows:
+                results[i] = InsufficientDataError(
+                    f"insufficient data: {n} pairs with positive mean, need 3"
+                )
+            continue
+        m = _packed(means, kept, rows, n)
+        v = _packed(variances, kept, rows, n)
+        for i, fit in zip(rows.tolist(), _nls_fits(m, v, b0[rows], width)):
+            results[i] = fit
+    return results
+
+
+def _nls_fits(m: np.ndarray, v: np.ndarray, b0: np.ndarray, width: int) -> list:
+    """The raw-space fit of each row of ``m`` (all positive) and ``v``, or
+    its data error, searched around the log-space slopes ``b0``."""
+    n = m.shape[1]
+    results: list = [None] * len(m)
     with np.errstate(all="ignore"):
-        grid = b0 + _B_HALF_WIDTH * np.linspace(-1.0, 1.0, _B_GRID_POINTS)
-        profile = _raw_profile(grid, m, v)[0]
-        if np.isinf(profile.min()):
-            raise DegenerateDesignError(
+        best, low, spread = _grid_scan(b0, m, v)
+        overflow = np.isinf(low)
+        for i in np.flatnonzero(overflow):
+            results[i] = DegenerateDesignError(
                 "degenerate design: the raw-space residuals overflow at every b"
             )
+        rows = np.flatnonzero(~overflow)
+        b0, best, m, v = (values[rows] for values in (b0, best, m, v))
+        flat = spread[rows] <= 1e-6 * low[rows]
         log_m = np.log(m)
-        b, (_, _, _, a) = _profile_minimum(
-            grid, profile, lambda x: _raw_objective(x, m, v, log_m)
+        last = _B_GRID_POINTS - 1
+        # A profile flat to rounding gets no edge stop: its b is arbitrary,
+        # and where its steps end depends on rounding alone.
+        edge = np.where(best == 0, 1.0, np.where(best == last, -1.0, 0.0))
+        b, a = _newton_minima(
+            b0 + _B_OFFSETS[np.maximum(best - 1, 0)],
+            b0 + _B_OFFSETS[np.minimum(best + 1, last)],
+            b0 + _B_OFFSETS[best],
+            lambda b, rows: _raw_objective(b, m[rows], v[rows], log_m[rows]),
+            np.where(flat, 0.0, edge),
         )
-        if not 0.0 < a < math.inf:
-            raise DegenerateDesignError(
-                f"degenerate design: coefficient a = {a:.6g} is not a positive float"
+        positive = (0.0 < a) & (a < math.inf)
+        for i, bad in zip(rows[~positive], a[~positive].tolist()):
+            results[i] = DegenerateDesignError(
+                f"degenerate design: coefficient a = {bad:.6g} is not a positive float"
             )
-        inside = grid[0] < b < grid[-1]
-        flat = np.ptp(profile) <= 1e-6 * profile.min()
+        rows, b0, flat, m, v, log_m, a, b = (
+            values[positive] for values in (rows, b0, flat, m, v, log_m, a, b)
+        )
+        inside = (b0 + _B_OFFSETS[0] < b) & (b < b0 + _B_OFFSETS[-1])
 
-        model = a * np.power(m, b)
+        model = a[:, None] * np.power(m, b[:, None])
         resid = v - model
-        rss = float(resid @ resid)
-        n = len(kept)
-        jac = np.column_stack([model / a, model * log_m])
-        sigma2 = rss / (n - 2)
-        try:
-            cov = sigma2 * np.linalg.inv(jac.T @ jac)
-            se_a = math.sqrt(max(cov[0, 0], 0.0))
-            se_b = math.sqrt(max(cov[1, 1], 0.0))
-        except np.linalg.LinAlgError:
-            se_a = se_b = 0.0
-        tss = float(np.sum((v - v.mean()) ** 2))
-    return PowerLawFit(
-        a=a,
-        b=b,
-        se_ln_a=se_a / a,
-        se_b=se_b,
-        r_squared=1.0 if tss == 0.0 else _clamp_unit(1.0 - rss / tss),
-        n_used=n,
-        n_dropped=len(series.pairs) - n,
-        method="nls",
-        rss_raw=rss,
-        converged=bool(inside and not flat),
-    )
+        rss = _row_dots(resid, resid)
+        jac = np.stack([model / a[:, None], model * log_m], axis=-1)
+        se = _standard_errors(jac, rss / (n - 2))
+        tss = np.sum((v - v.mean(axis=1, keepdims=True)) ** 2, axis=1)
+    for i, a_i, b_i, (se_a, se_b), rss_i, tss_i, converged in zip(
+        rows.tolist(),
+        a.tolist(),
+        b.tolist(),
+        se.tolist(),
+        rss.tolist(),
+        tss.tolist(),
+        (inside & ~flat).tolist(),
+    ):
+        results[i] = PowerLawFit(
+            a=a_i,
+            b=b_i,
+            se_ln_a=se_a / a_i,
+            se_b=se_b,
+            r_squared=1.0 if tss_i == 0.0 else _clamp_unit(1.0 - rss_i / tss_i),
+            n_used=n,
+            n_dropped=width - n,
+            method="nls",
+            rss_raw=rss_i,
+            converged=converged,
+        )
+    return results
+
+
+def _standard_errors(jac: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
+    """(se_a, se_b) of each row from its (n, 2) Jacobian: the square roots
+    of the diagonal of sigma2 (J'J)^-1, negative variances read as 0. A
+    singular J'J gives (0, 0); the rows are then inverted one at a time,
+    as one singular matrix fails the whole stack."""
+    gram = np.matmul(jac.transpose(0, 2, 1), jac)
+    try:
+        cov = sigma2[:, None, None] * np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
+        cov = np.zeros_like(gram)
+        for i, matrix in enumerate(gram):
+            try:
+                cov[i] = sigma2[i] * np.linalg.inv(matrix)
+            except np.linalg.LinAlgError:
+                pass
+    variances = cov[:, [0, 1], [0, 1]]
+    return np.sqrt(np.where(variances < 0.0, 0.0, variances))
 
 
 def pacd_from_params(a: float, b: float) -> PacdResult:

@@ -33,7 +33,7 @@ from .errors import (
     UsageError,
 )
 from .extraction import MVPair, MVSeries, sample_variance
-from .fitting import _ols_line
+from .fitting import _ols_lines
 
 # Most points, quadrats, rings, pooled counts, pairs or candidate pairs (of
 # one block) one call may ask for.
@@ -437,7 +437,7 @@ def fit_pcf(est: PcfEstimate, form: str) -> PcfFit:
         raise InsufficientDataError(
             f"insufficient signal: {x_all.size} usable bins for {form}, need 3"
         )
-    line = _ols_line(x_all, y_all)
+    line = _ols_lines(x_all[None], y_all[None])[0]
     s = -line.slope
     if s == 0.0:
         raise DegenerateDesignError(

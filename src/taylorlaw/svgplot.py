@@ -19,7 +19,7 @@ import numpy as np
 from ._fmt import sig12
 from .errors import InsufficientDataError
 from .extraction import MVSeries
-from .fitting import PowerLawFit, split_usable
+from .fitting import PowerLawFit, usable_mask
 
 _W, _H = 640, 480
 _LEFT, _RIGHT, _TOP, _BOTTOM = 72, 24, 24, 96
@@ -44,13 +44,13 @@ def emit_svg_plot(series: MVSeries, fit: PowerLawFit, path: str) -> None:
     ``fit`` must have been produced from ``series``; the caption repeats
     the fit's own bookkeeping. I/O failures propagate as OSError.
     """
-    plottable, margin = split_usable(series)
-    if len(plottable) < 2:
+    plottable = usable_mask(series.means, series.variances)
+    if plottable.sum() < 2:
         raise InsufficientDataError(
             "plotting needs at least 2 pairs with positive mean and variance"
         )
-    xs = np.log([p.mean for p in plottable])
-    ys = np.log([p.variance for p in plottable])
+    xs = np.log(series.means[plottable])
+    ys = np.log(series.variances[plottable])
 
     x_lo, x_hi, x_pad = _padded(float(xs.min()), float(xs.max()))
     ln_a = math.log(fit.a)
@@ -119,13 +119,16 @@ def emit_svg_plot(series: MVSeries, fit: PowerLawFit, path: str) -> None:
             f'  <circle class="used" cx="{to_px(float(x)):.2f}" '
             f'cy="{to_py(float(y)):.2f}" r="4" fill="#2c5f8a"/>'
         )
-    for p in margin:
-        if p.mean > 0:
-            mx = min(max(to_px(math.log(p.mean)), px_r[0]), px_r[1])
+    margin = ~plottable
+    for mean, variance in zip(
+        series.means[margin].tolist(), series.variances[margin].tolist()
+    ):
+        if mean > 0:
+            mx = min(max(to_px(math.log(mean)), px_r[0]), px_r[1])
             my = _H - _BOTTOM + 4.0
-        elif p.variance > 0:
+        elif variance > 0:
             mx = _LEFT - 20.0
-            my = min(max(to_py(math.log(p.variance)), py_r[1]), py_r[0]) - 4.0
+            my = min(max(to_py(math.log(variance)), py_r[1]), py_r[0]) - 4.0
         else:
             mx = _LEFT - 20.0
             my = _H - _BOTTOM + 4.0

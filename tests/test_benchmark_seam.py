@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from conftest import EXACT_TABLE_CSV, LOCATION_CSV, synthetic_longitudinal
-from taylorlaw import cli
+from taylorlaw import PowerLawFit, cli
 
 SPANS = Path(__file__).resolve().parents[1] / "benchmark" / "spans.py"
 
@@ -95,3 +95,33 @@ def test_cli_calls_the_name_the_trace_wraps(attr, tmp_path, monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
     assert calls, f"{' '.join(argv)} did not call taylorlaw.cli.{attr}"
+
+
+@pytest.mark.parametrize("method", ["log_ols", "nls"])
+def test_subject_all_fits_each_subject_through_the_wrapped_names(
+    method, tmp_path, monkeypatch
+):
+    # The traced run counts one fit and one report per subject: --subject
+    # all fits a block of subjects at its first call, but still calls the
+    # names it wraps once per subject, and each call returns that
+    # subject's fit.
+    subjects = 7
+    (tmp_path / "longi.csv").write_text(synthetic_longitudinal(subjects, 5, 4))
+    name = f"fit_{method}"
+    calls = {name: [], "build_fit_report": []}
+    for attr, seen in calls.items():
+        original = getattr(cli, attr)
+
+        def counting(*args, _original=original, _seen=seen, **kwargs):
+            result = _original(*args, **kwargs)
+            _seen.append(result)
+            return result
+
+        monkeypatch.setattr(cli, attr, counting)
+    argv = ["fit-taylor", "--input", str(tmp_path / "longi.csv")]
+    argv += ["--scheme", "per_subject_species", "--subject", "all", "--method", method]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert len(calls[name]) == len(calls["build_fit_report"]) == subjects
+    assert all(isinstance(fit, PowerLawFit) for fit in calls[name])
+    assert [report.fit for report in calls["build_fit_report"]] == calls[name]

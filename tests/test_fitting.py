@@ -395,6 +395,30 @@ class TestNlsProfileOracle:
             counts.append(objective.call_count)
         assert np.median(counts) <= 6
 
+    def test_a_minimum_past_the_grid_edge_stops_at_the_grid_point(self):
+        # Raw-space slopes far above the log-space one: the profile falls
+        # out of the grid. Bisecting towards the edge would spend the
+        # 30-step cap; the finish stops at the first point inside, whose
+        # slope also points out, and keeps the grid point.
+        rng = np.random.default_rng(20261020)
+        edges = 0
+        for _ in range(100):
+            k = int(rng.integers(4, 12))
+            ms = np.exp(rng.uniform(-2.0, 6.0, k))
+            vs = 1.7 * ms ** rng.uniform(4.0, 8.0) * rng.lognormal(0.0, 1.0, k)
+            series = series_of(*zip(ms.tolist(), vs.tolist()))
+            b0 = fit_log_ols(series).b
+            with mock.patch.object(
+                fitting, "_raw_objective", wraps=_raw_objective
+            ) as objective:
+                fit = fit_nls(series)
+            if fit.b in (b0 - 3.0, b0 + 3.0):
+                edges += 1
+                assert objective.call_count <= 3
+                assert not fit.converged
+                assert fit.rss_raw <= brute_force_nls_scan(series).min() * (1 + 4e-16)
+        assert edges >= 20
+
 
 @st.composite
 def raw_pairs(draw):
@@ -408,7 +432,7 @@ def raw_pairs(draw):
 
 
 class TestNlsGoldenObjective:
-    """The Newton steps' scalar RSS is the grid's, bit for bit."""
+    """The Newton steps' RSS is the grid's, bit for bit (one row each)."""
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -422,8 +446,9 @@ class TestNlsGoldenObjective:
     def test_scalar_rss_equals_the_profile(self, pairs, b):
         m, v = pairs
         with np.errstate(all="ignore"):
-            expected = float(_raw_profile(b, m, v)[0])
-            assert _raw_objective(b, m, v, np.log(m))[0].hex() == expected.hex()
+            expected = float(_raw_profile(np.array([[b]]), m[None], v[None])[0][0, 0])
+            got = _raw_objective(np.array([b]), m[None], v[None], np.log(m)[None])[0]
+            assert float(got[0]).hex() == expected.hex()
 
 
 class TestCrossoverDensity:

@@ -5,7 +5,8 @@ this process has scipy and every layer loaded already (the tests use scipy
 as an oracle). The slope test's p-value is computed with ``math`` alone
 and the close-pair search with numpy alone, so the runtime needs numpy and
 nothing else. The bare import loads no submodule and no numpy; each
-command loads only the layers it calls, and none loads ``dataclasses``.
+command loads only the layers it calls, and none loads ``dataclasses`` or
+``numpy.ma`` (which ``np.unique`` imports, some 10 ms of start-up).
 """
 
 import functools
@@ -145,6 +146,7 @@ def test_command_loads_only_its_layers(inputs, argv, status, allowed):
     child = run_child(_formatted(argv, inputs))
     assert child["status"] == status
     assert "dataclasses" not in child["modules"]
+    assert "numpy.ma" not in child["modules"]
     layers = {m.split(".")[1] for m in child["modules"] if m.startswith("taylorlaw.")}
     assert layers & _LAYERS <= allowed
     assert ("svgplot" in layers) == ("--plot" in (argv or ()))
