@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import numbers
 import re
 import sys
 from itertools import compress
@@ -157,10 +156,12 @@ class RunConfig(_Checked, _RunConfigFields):
             if self.subject == "all":
                 raise UsageError("plotting is only available for single fits")
         if self.command == "pacd":
-            direct = self.a is not None or self.b is not None
-            if direct and (self.a is None or self.b is None):
-                raise UsageError("pacd needs both --a and --b")
-            if not direct and not (self.input_path and self.scheme_tag):
+            if self.a is not None or self.b is not None:
+                if self.a is None or self.b is None:
+                    raise UsageError("pacd needs both --a and --b")
+                if self.input_path or self.scheme_tag:
+                    raise UsageError("pacd --a/--b excludes --input and --scheme")
+            elif not (self.input_path and self.scheme_tag):
                 raise UsageError("pacd needs --a/--b or --input with --scheme")
 
 
@@ -221,76 +222,70 @@ def _report_dict(report: FitReport) -> dict:
 
 
 def _plain_number(value) -> int | float:
-    """A Python or numpy number as a Python int or float. The concrete types
-    go first: an abstract check costs about a microsecond, and a report can
-    hold tens of thousands of floats."""
-    if isinstance(value, (float, int)):
-        return value
-    if isinstance(value, numbers.Integral):
-        return int(value)
-    if isinstance(value, numbers.Real):
-        return float(value)
+    """A leaf whose type is in no leaf table, such as a numpy number that a
+    library caller put in a ``RunConfig``: a real number (a type with
+    ``__round__``) as a Python int if it has ``__index__``, else a float."""
+    if hasattr(value, "__round__"):
+        return int(value) if hasattr(value, "__index__") else float(value)
     raise TypeError(f"unsupported report value {value!r}")
 
 
-def _json_scalar(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        return json.dumps(value)
-    value = _plain_number(value)
-    if isinstance(value, int):
-        return str(int(value))
-    return sig12(value) if math.isfinite(value) else "null"
+def _float_leaf(non_finite: str) -> Callable[[float], str]:
+    """A format's float rule: 12 significant digits, or ``non_finite``."""
+    return lambda x: sig12(x) if math.isfinite(x) else non_finite
 
 
-def _render_json(value, level: int = 0) -> str:
-    pad = "  " * level
-    inner = "  " * (level + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
+# How each format writes a leaf, looked up by its exact type. A report the
+# CLI builds holds no other leaf; any other type goes through _plain_number.
+_JSON_LEAF: dict[type, Callable[..., str]] = {
+    float: _float_leaf("null"),
+    int: str,
+    bool: lambda x: "true" if x else "false",
+    str: json.dumps,
+    type(None): lambda _: "null",
+}
+_CSV_LEAF = {
+    **_JSON_LEAF,
+    float: _float_leaf("nan"),
+    str: str,
+    type(None): lambda _: "",
+}
+
+
+def _render_json(value, pad: str = "") -> str:
+    kind = type(value)
+    if kind is dict:
+        inner = pad + "  "
         items = [
-            f"{inner}{json.dumps(str(k))}: {_render_json(v, level + 1)}"
+            f"{inner}{json.dumps(str(k))}: {_render_json(v, inner)}"
             for k, v in value.items()
         ]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [f"{inner}{_render_json(v, level + 1)}" for v in value]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    return _json_scalar(value)
-
-
-def _csv_scalar(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        return value
-    value = _plain_number(value)
-    if isinstance(value, int):
-        return str(int(value))
-    return sig12(value) if math.isfinite(value) else "nan"
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}" if items else "{}"
+    if kind is list or kind is tuple:
+        inner = pad + "  "
+        items = [f"{inner}{_render_json(v, inner)}" for v in value]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]" if items else "[]"
+    leaf = _JSON_LEAF.get(kind)
+    return leaf(value) if leaf else _render_json(_plain_number(value))
 
 
 def _flatten(value, prefix: str, rows: list) -> None:
-    if isinstance(value, dict):
+    kind = type(value)
+    if kind is dict:
         if not value:
             rows.append((prefix, ""))
         for k, v in value.items():
             _flatten(v, f"{prefix}.{k}" if prefix else str(k), rows)
-    elif isinstance(value, (list, tuple)):
+    elif kind is list or kind is tuple:
         if not value:
             rows.append((prefix, ""))
         for i, v in enumerate(value):
             _flatten(v, f"{prefix}[{i}]", rows)
     else:
-        rows.append((prefix, _csv_scalar(value)))
+        leaf = _CSV_LEAF.get(kind)
+        if leaf is None:
+            return _flatten(_plain_number(value), prefix, rows)
+        rows.append((prefix, leaf(value)))
 
 
 def render_report(value, output_format: str) -> str:

@@ -121,6 +121,14 @@ class TestRunConfigValidation:
             ),
             dict(command="pacd", a=2.0),
             dict(command="pacd"),
+            dict(
+                command="pacd",
+                a=1.0,
+                b=1.0,
+                input_path="t.csv",
+                scheme_tag="subjects_across_species",
+            ),
+            dict(command="pacd", a=1.0, b=1.0, input_path="t.csv"),
             dict(command="fit-dispersion"),
             dict(command="simulate", kind="poisson_sweep"),
             dict(command="experiment", kind="poisson"),
