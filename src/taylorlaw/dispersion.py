@@ -233,10 +233,7 @@ def fit_dispersion_table(
         return (*np.array([solve[:3] for solve in solves]).T, solves)
 
     c_hats, solves = _newton_minima(
-        grid[np.maximum(best - 1, 0)],
-        grid[np.minimum(best + 1, len(grid) - 1)],
-        grid[best],
-        objective,
+        np.broadcast_to(grid, (len(todo), len(grid))), best, objective
     )
     for i, profile, c_hat, solve in zip(todo, profiles.T, c_hats.tolist(), solves):
         flat = float(profile.max() - profile.min()) <= max(

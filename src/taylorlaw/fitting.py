@@ -19,9 +19,12 @@ Both fits work on blocks of series of one length (see ``extraction``):
 ``fit_log_ols(series)`` and ``fit_nls(series)`` fit the series' whole
 block in grouped numpy passes at their first call and keep every row's
 result, or its data error, on the block; a series built on its own is a
-block of one row. Each row is summed as a lone 1-D series is (pairwise
-sums along the row, one BLAS dot or matrix-vector product per row), so a
-row's fit has the same bits in a block as alone.
+block of one row. Each row is computed as a lone 1-D series is: its sums
+run along the row (pairwise, or one BLAS dot or matrix-vector product
+per row), and its powers m^b come from one kernel (``_powers``) that
+never lets numpy take its single-exponent loop, whose m^2, m^0.5 and
+m^-1 round differently. So a row's fit has the same bits in a block as
+alone.
 """
 
 from __future__ import annotations
@@ -121,22 +124,31 @@ def usable_mask(
     return usable
 
 
-def _by_count(mask: np.ndarray):
-    """(count, rows) for each distinct number of True values in a row of
-    ``mask``, in increasing count. (``np.unique`` would import ``numpy.ma``,
-    some 10 ms of a command's start-up.)"""
-    counts = mask.sum(axis=1)
-    for count in sorted(set(counts.tolist())):
-        yield count, np.flatnonzero(counts == count)
-
-
-def _packed(
-    values: np.ndarray, mask: np.ndarray, rows: np.ndarray, count: int
-) -> np.ndarray:
-    """The masked values of ``rows``, each row holding ``count`` of them:
-    a (len(rows), count) array whose rows are the 1-D arrays a lone series
-    would select, in order."""
-    return values[rows][mask[rows]].reshape(len(rows), count)
+def _grouped(
+    means: np.ndarray, variances: np.ndarray, method: str, need: int, fit_rows
+) -> list:
+    """Each row's result of ``fit_rows(m, v, rows)``, called once for each
+    group of rows with the same number n of usable pairs (``usable_mask``)
+    on their (len(rows), n) usable means and variances: each row holds the
+    1-D arrays a lone series would select, in order. A row with fewer than
+    ``need`` usable pairs gets an ``InsufficientDataError`` instead."""
+    usable = usable_mask(means, variances, method)
+    counts = usable.sum(axis=1)
+    pairs = "pairs with positive mean" if method == "nls" else "usable pairs"
+    results: list = [None] * len(means)
+    # np.unique would import numpy.ma, some 10 ms of a command's start-up.
+    for n in sorted(set(counts.tolist())):
+        rows = np.flatnonzero(counts == n)
+        if n < need:
+            message = f"insufficient data: {n} {pairs}, need {need}"
+            group = [InsufficientDataError(message) for _ in rows]
+        else:
+            kept = usable[rows]
+            m, v = (x[rows][kept].reshape(len(rows), n) for x in (means, variances))
+            group = fit_rows(m, v, rows)
+        for i, result in zip(rows.tolist(), group):
+            results[i] = result
+    return results
 
 
 def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -215,25 +227,19 @@ def _log_ols_rows(means: np.ndarray, variances: np.ndarray, min_pairs: int) -> l
     """``fit_log_ols`` of each row of a block: its fit, or the data error in
     its place. Rows with the same usable count are fitted together."""
     width = means.shape[1]
-    usable = usable_mask(means, variances)
-    results: list = [None] * len(means)
-    for n, rows in _by_count(usable):
-        if n < min_pairs:
-            for i in rows:
-                results[i] = InsufficientDataError(
-                    f"insufficient data: {n} usable pairs, need {min_pairs}"
-                )
-            continue
-        x = np.log(_packed(means, usable, rows, n))
-        y = np.log(_packed(variances, usable, rows, n))
+
+    def fit_rows(m: np.ndarray, v: np.ndarray, rows: np.ndarray) -> list:
+        x, y = np.log(m), np.log(v)
         equal = (x == x[:, :1]).all(axis=1)
-        for i in rows[equal]:
-            results[i] = DegenerateDesignError(
-                "degenerate design: all retained means are equal"
-            )
-        for i, line in zip(rows[~equal].tolist(), _ols_lines(x[~equal], y[~equal])):
-            results[i] = _log_ols_fit(line, n, width)
-    return results
+        lines = iter(_ols_lines(x[~equal], y[~equal]))
+        return [
+            DegenerateDesignError("degenerate design: all retained means are equal")
+            if degenerate
+            else _log_ols_fit(next(lines), x.shape[1], width)
+            for degenerate in equal.tolist()
+        ]
+
+    return _grouped(means, variances, "log_ols", min_pairs, fit_rows)
 
 
 def _log_ols_fit(line: _OlsLine, n: int, width: int) -> PowerLawFit | DataError:
@@ -263,29 +269,29 @@ def _log_ols_fit(line: _OlsLine, n: int, width: int) -> PowerLawFit | DataError:
 
 
 def _newton_minima(
-    lo: np.ndarray, hi: np.ndarray, x: np.ndarray, objective, outward=None
+    grid: np.ndarray, best: np.ndarray, objective, edge_stop=False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minimizers of one-dimensional profiles, one per row, each sampled on
-    a grid: ``x`` holds each row's grid argmin, and ``lo`` and ``hi`` the
-    grid points beside it (the argmin itself at a grid edge).
+    its row of ``grid`` (rows, points) with its argmin at ``best``.
     ``objective(points, rows)`` returns, for those rows at those points,
     arrays of the profile's value, slope and curvature and a fourth array
     of what the caller keeps from a point.
 
-    Newton steps start at the argmin and stay inside the bracket [lo, hi]:
-    the sign of each slope moves one end of the bracket to the current
-    point, and a step that would leave the bracket, or a curvature that is
-    not positive, is replaced by bisection. A slope pointing out of the
-    grid at a grid edge does not close the bracket: the grid step can hide
-    a lower minimum inside it, and near the c floor of the dispersion fit
-    that slope is rounding noise. A row stops once its step is below
+    Newton steps start at the argmin and stay inside the bracket of the
+    grid points beside it (the argmin itself at a grid edge): the sign of
+    each slope moves one end of the bracket to the current point, and a
+    step that would leave the bracket, or a curvature that is not
+    positive, is replaced by bisection. A slope pointing out of the grid at
+    a grid edge does not close the bracket: the grid step can hide a lower
+    minimum inside it, and near the c floor of the dispersion fit that
+    slope is rounding noise. A row stops once its step is below
     ``_NEWTON_RTOL`` of |x|, at a zero slope, or after ``_NEWTON_STEPS``;
     the rows still stepping are evaluated together. A row keeps its grid
     point when the value there is lower than at its last point, as when
     the profile is flat to rounding.
 
-    ``outward`` (+1 where the argmin is the lower grid edge, -1 the upper,
-    0 elsewhere) adds a stop for a row whose slope at that edge points out
+    ``edge_stop`` (a mask over the rows, or one bool for all) adds a stop
+    for a row whose argmin is a grid edge and whose slope there points out
     of the grid. Bisected towards the edge, such a row would spend the step
     cap and end at the grid point unless the profile dips below it within
     the grid step; it stops once a point inside has a slope that also
@@ -293,20 +299,23 @@ def _newton_minima(
 
     Returns each row's minimizer and the fourth array there.
     """
-    at, lo, hi = x, lo.copy(), hi.copy()
-    x = x.copy()
+    last = grid.shape[1] - 1
+    lo, at, hi = (
+        np.take_along_axis(grid, index[:, None], axis=1)[:, 0]
+        for index in (np.maximum(best - 1, 0), best, np.minimum(best + 1, last))
+    )
+    x = at.copy()
     start = objective(x, slice(None))
     here = [value.copy() for value in start]
-    if outward is not None:
-        outward = np.where(outward * start[1] > 0, outward, 0.0)
+    edge = np.where(best == 0, 1.0, np.where(best == last, -1.0, 0.0))
+    outward = np.where(edge_stop & (edge * start[1] > 0), edge, 0.0)
     active = np.ones(len(x), dtype=bool)
     for _ in range(_NEWTON_STEPS):
         idx = np.flatnonzero(active)
         xi, lo_i, hi_i = x[idx], lo[idx], hi[idx]
         slope, curvature = here[1][idx], here[2][idx]
         stop = (slope == 0) | np.isnan(slope)  # stationary, or not a number
-        if outward is not None:
-            stop |= (outward[idx] * slope > 0) & (here[0][idx] > start[0][idx])
+        stop |= (outward[idx] * slope > 0) & (here[0][idx] > start[0][idx])
         # The end on the slope's downhill side stays; the other moves to x,
         # unless x is that end, at a grid edge (see the docstring).
         hi_i = np.where((slope > 0) & (xi > lo_i), xi, hi_i)
@@ -328,37 +337,43 @@ def _newton_minima(
     return np.where(better, x, at), np.where(better, here[3], start[3])
 
 
-def _raw_profile(
+def _powers(
     b: np.ndarray, m: np.ndarray, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """RSS of V on a*M^b at each exponent of each row of ``b`` (rows, k),
-    for the rows of ``m`` and ``v`` (rows, n), with a = sum(v m^b) /
-    sum(m^2b) exact for that b, and the a. The RSS is summed from the
-    residuals, not from sum(v^2) - a sum(v m^b), which cancels; it is inf
-    where a value leaves the float range. Call under ``np.errstate``."""
-    powers = m[:, None, :] ** b[:, :, None]
-    a = np.matmul(powers, v[:, :, None])[..., 0] / np.einsum(
-        "...i,...i->...", powers, powers
-    )
-    powers *= -a[..., None]
-    powers += v[:, None, :]
-    rss = np.einsum("...i,...i->...", powers, powers)
-    return np.where(np.isfinite(rss), rss, np.inf), a
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """p = m^b (rows, k, n) at each exponent of each row of ``b`` (rows, k),
+    for the rows of ``m`` and ``v`` (rows, n), with sum(p^2) and the exact
+    a = sum(v p) / sum(p^2) for that b (rows, k). The exponents are written
+    into the output first, so every call runs numpy's loop for an array of
+    exponents: given one exponent, numpy runs another loop, whose m^2,
+    m^0.5 and m^-1 can round differently. Call under ``np.errstate``."""
+    p = np.empty((*b.shape, m.shape[1]))
+    p[...] = b[:, :, None]
+    np.power(m[:, None, :], p, out=p)
+    s2 = np.einsum("...i,...i->...", p, p)
+    return p, s2, np.matmul(p, v[:, :, None])[..., 0] / s2
 
 
 def _grid_scan(
-    b0: np.ndarray, m: np.ndarray, v: np.ndarray
+    grid: np.ndarray, m: np.ndarray, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The argmin, minimum and spread (max - min) of each row's profile on
-    its grid b0 + ``_B_OFFSETS``. The rows are scanned in chunks whose
-    (rows, grid, pairs) block of powers holds at most ``_GRID_ELEMENTS``
-    values, or one row when a row alone holds more."""
+    """The argmin, minimum and spread (max - min) of each row's profile
+    R(b) = min_a sum((v - a m^b)^2) on its row of ``grid``. The RSS is
+    summed from the residuals, not from sum(v^2) - a sum(v m^b), which
+    cancels; it is inf where a value leaves the float range. The rows are
+    scanned in chunks whose (rows, grid, pairs) block of powers holds at
+    most ``_GRID_ELEMENTS`` values, or one row when a row alone holds more.
+    Call under ``np.errstate``."""
     best = np.empty(len(m), dtype=np.intp)
     low, spread = np.empty(len(m)), np.empty(len(m))
-    step = max(1, _GRID_ELEMENTS // (_B_GRID_POINTS * m.shape[1]))
+    step = max(1, _GRID_ELEMENTS // (grid.shape[1] * m.shape[1]))
     for i in range(0, len(m), step):
         rows = slice(i, i + step)
-        profile = _raw_profile(b0[rows, None] + _B_OFFSETS, m[rows], v[rows])[0]
+        resid, _, a = _powers(grid[rows], m[rows], v[rows])
+        resid *= -a[..., None]
+        resid += v[rows, None, :]
+        rss = np.einsum("...i,...i->...", resid, resid)
+        del resid  # freed before the next chunk's powers, which can reuse its memory
+        profile = np.where(np.isfinite(rss), rss, np.inf)
         best[rows] = profile.argmin(axis=1)
         low[rows] = profile.min(axis=1)
         spread[rows] = np.ptp(profile, axis=1)
@@ -372,8 +387,10 @@ def _raw_objective(
     row's exponent, with its exact first and second derivatives and the a:
     the Newton objective.
 
-    R is ``_raw_profile``'s RSS bit for bit (``np.power``, not ``**``, whose
-    fast paths for b = 2, 0.5, -1, ... could round differently). With
+    R is a one-point ``_grid_scan``'s minimum bit for bit, and a row's
+    values do not depend on the rows evaluated with it. On the 161-point
+    grid the a of each row is summed by one matrix-vector product, so the
+    grid's R at a point can differ from this R in the last bits. With
     p = m^b, r = v - a p and w = p (ln m - l), where l = sum(p^2 ln m) /
     sum(p^2) makes w orthogonal to p, R' = -2a r.w is the variable
     projection gradient, and R'' = 2a^2 w.w - 2a sum(r w (ln m - l))
@@ -382,9 +399,7 @@ def _raw_objective(
     dwarfs the rest. Where R is not finite it is inf and the derivatives
     are NaN.
     """
-    p = np.power(m, b[:, None])
-    s2 = np.einsum("...i,...i->...", p, p)
-    a = _row_dots(p, v) / s2
+    p, s2, a = (value[:, 0] for value in _powers(b[:, None], m, v))
     r = v - a[:, None] * p
     rss = np.einsum("...i,...i->...", r, r)
     d = log_m - (_row_dots(p, p * log_m) / s2)[:, None]
@@ -422,92 +437,77 @@ def _nls_rows(means: np.ndarray, variances: np.ndarray) -> list:
     """``fit_nls`` of each row of a block: its fit, or the data error in its
     place. Rows with the same number of positive means are fitted together."""
     width = means.shape[1]
-    kept = usable_mask(means, variances, "nls")
     b0 = np.array(
         [
             fit.b if isinstance(fit, PowerLawFit) else 1.0
             for fit in _log_ols_rows(means, variances, 3)
         ]
     )
-    results: list = [None] * len(means)
-    for n, rows in _by_count(kept):
-        if n < 3:
-            for i in rows:
-                results[i] = InsufficientDataError(
-                    f"insufficient data: {n} pairs with positive mean, need 3"
-                )
-            continue
-        m = _packed(means, kept, rows, n)
-        v = _packed(variances, kept, rows, n)
-        for i, fit in zip(rows.tolist(), _nls_fits(m, v, b0[rows], width)):
-            results[i] = fit
-    return results
+    return _grouped(
+        means, variances, "nls", 3, lambda m, v, rows: _nls_fits(m, v, b0[rows], width)
+    )
 
 
 def _nls_fits(m: np.ndarray, v: np.ndarray, b0: np.ndarray, width: int) -> list:
     """The raw-space fit of each row of ``m`` (all positive) and ``v``, or
     its data error, searched around the log-space slopes ``b0``."""
     n = m.shape[1]
-    results: list = [None] * len(m)
     with np.errstate(all="ignore"):
-        best, low, spread = _grid_scan(b0, m, v)
-        overflow = np.isinf(low)
-        for i in np.flatnonzero(overflow):
-            results[i] = DegenerateDesignError(
-                "degenerate design: the raw-space residuals overflow at every b"
-            )
-        rows = np.flatnonzero(~overflow)
-        b0, best, m, v = (values[rows] for values in (b0, best, m, v))
-        flat = spread[rows] <= 1e-6 * low[rows]
+        grid = b0[:, None] + _B_OFFSETS
+        best, low, spread = _grid_scan(grid, m, v)
+        overflow, flat = np.isinf(low), spread <= 1e-6 * low
         log_m = np.log(m)
-        last = _B_GRID_POINTS - 1
         # A profile flat to rounding gets no edge stop: its b is arbitrary,
         # and where its steps end depends on rounding alone.
-        edge = np.where(best == 0, 1.0, np.where(best == last, -1.0, 0.0))
         b, a = _newton_minima(
-            b0 + _B_OFFSETS[np.maximum(best - 1, 0)],
-            b0 + _B_OFFSETS[np.minimum(best + 1, last)],
-            b0 + _B_OFFSETS[best],
+            grid,
+            best,
             lambda b, rows: _raw_objective(b, m[rows], v[rows], log_m[rows]),
-            np.where(flat, 0.0, edge),
+            ~flat,
         )
-        positive = (0.0 < a) & (a < math.inf)
-        for i, bad in zip(rows[~positive], a[~positive].tolist()):
-            results[i] = DegenerateDesignError(
-                f"degenerate design: coefficient a = {bad:.6g} is not a positive float"
-            )
-        rows, b0, flat, m, v, log_m, a, b = (
-            values[positive] for values in (rows, b0, flat, m, v, log_m, a, b)
-        )
-        inside = (b0 + _B_OFFSETS[0] < b) & (b < b0 + _B_OFFSETS[-1])
-
-        model = a[:, None] * np.power(m, b[:, None])
+        converged = (grid[:, 0] < b) & (b < grid[:, -1]) & ~flat
+        model = a[:, None] * _powers(b[:, None], m, v)[0][:, 0]
         resid = v - model
         rss = _row_dots(resid, resid)
+        # A row that ends in an error stays out of the stacked inverse: its
+        # singular J'J would send every row to the one-at-a-time fallback.
+        fits = ~overflow & (0.0 < a) & (a < math.inf)
         jac = np.stack([model / a[:, None], model * log_m], axis=-1)
-        se = _standard_errors(jac, rss / (n - 2))
+        se = np.zeros((len(m), 2))
+        se[fits] = _standard_errors(jac[fits], rss[fits] / (n - 2))
         tss = np.sum((v - v.mean(axis=1, keepdims=True)) ** 2, axis=1)
-    for i, a_i, b_i, (se_a, se_b), rss_i, tss_i, converged in zip(
-        rows.tolist(),
+    results: list = []
+    for overflow_i, a_i, b_i, (se_a, se_b), rss_i, tss_i, converged_i in zip(
+        overflow.tolist(),
         a.tolist(),
         b.tolist(),
         se.tolist(),
         rss.tolist(),
         tss.tolist(),
-        (inside & ~flat).tolist(),
+        converged.tolist(),
     ):
-        results[i] = PowerLawFit(
-            a=a_i,
-            b=b_i,
-            se_ln_a=se_a / a_i,
-            se_b=se_b,
-            r_squared=1.0 if tss_i == 0.0 else _clamp_unit(1.0 - rss_i / tss_i),
-            n_used=n,
-            n_dropped=width - n,
-            method="nls",
-            rss_raw=rss_i,
-            converged=converged,
-        )
+        if overflow_i:
+            fit = DegenerateDesignError(
+                "degenerate design: the raw-space residuals overflow at every b"
+            )
+        elif not 0.0 < a_i < math.inf:
+            fit = DegenerateDesignError(
+                f"degenerate design: coefficient a = {a_i:.6g} is not a positive float"
+            )
+        else:
+            fit = PowerLawFit(
+                a=a_i,
+                b=b_i,
+                se_ln_a=se_a / a_i,
+                se_b=se_b,
+                r_squared=1.0 if tss_i == 0.0 else _clamp_unit(1.0 - rss_i / tss_i),
+                n_used=n,
+                n_dropped=width - n,
+                method="nls",
+                rss_raw=rss_i,
+                converged=converged_i,
+            )
+        results.append(fit)
     return results
 
 

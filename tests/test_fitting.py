@@ -40,7 +40,7 @@ from taylorlaw import (
 )
 from taylorlaw import fitting
 from taylorlaw._fmt import sig12
-from taylorlaw.fitting import _raw_objective, _raw_profile
+from taylorlaw.fitting import _grid_scan, _raw_objective
 
 
 def two_sided_tail_by_quadrature(t: float, dof: int) -> float:
@@ -432,7 +432,8 @@ def raw_pairs(draw):
 
 
 class TestNlsGoldenObjective:
-    """The Newton steps' RSS is the grid's, bit for bit (one row each)."""
+    """The Newton steps' RSS is a one-point grid's, bit for bit, and a row's
+    objective is the same alone as in a block."""
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -446,9 +447,29 @@ class TestNlsGoldenObjective:
     def test_scalar_rss_equals_the_profile(self, pairs, b):
         m, v = pairs
         with np.errstate(all="ignore"):
-            expected = float(_raw_profile(np.array([[b]]), m[None], v[None])[0][0, 0])
+            expected = float(_grid_scan(np.array([[b]]), m[None], v[None])[1][0])
             got = _raw_objective(np.array([b]), m[None], v[None], np.log(m)[None])[0]
             assert float(got[0]).hex() == expected.hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(raw_pairs(), min_size=3, max_size=3),
+        row=st.integers(0, 2),
+        b=st.floats(-5.0, 5.0),
+    )
+    def test_a_row_alone_equals_the_row_in_a_block(self, rows, row, b):
+        # Given one exponent, np.power takes a loop of its own, whose m^2,
+        # m^0.5 and m^-1 round differently from the loop a block runs.
+        n = min(len(m) for m, _ in rows)
+        m, v = (np.array([pair[j][:n] for pair in rows]) for j in (0, 1))
+        one = slice(row, row + 1)
+        for exponent in (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0, b):
+            bs = np.full(3, exponent)
+            with np.errstate(all="ignore"):
+                block = _raw_objective(bs, m, v, np.log(m))
+                alone = _raw_objective(bs[one], m[one], v[one], np.log(m[one]))
+            for got, expected in zip(alone, block):
+                assert got[0].tobytes() == expected[row].tobytes(), exponent
 
 
 class TestCrossoverDensity:

@@ -18,7 +18,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import synthetic_longitudinal
@@ -38,6 +38,15 @@ _FAILING = {
     # sums past the float maximum
     "overflow": lambda k, t: ["1.5e308"] * k,
 }
+
+# u0's NLS fit is b = 2 exactly, in a block with the failing u1. Given one
+# exponent, np.power takes a loop whose m^2 rounds differently from the
+# loop a block of exponents runs, so a lone fit could differ from its row.
+EXACT_SQUARE = (
+    "subject_id,time,sp1,sp2,sp3\n"
+    "u0,0,0,0,0\nu0,3,1,1,2\nu0,6,0,0,0\n"
+    "u1,0,7,7,7\nu1,1,7,7,7\nu1,2,7,7,7\n"
+)
 
 
 @st.composite
@@ -112,6 +121,7 @@ def error_report(scheme, subject, message, output_format):
 @pytest.mark.parametrize("scheme", SCHEMES)
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(drawn=longitudinal_tables())
+@example(drawn=(EXACT_SQUARE, ["u0", "u1"]))
 def test_each_report_is_the_subjects_own_run(scheme, method, drawn):
     text, subjects = drawn
     with tempfile.TemporaryDirectory() as tmp:
@@ -159,6 +169,17 @@ def test_a_table_where_every_subject_fails_is_a_data_error(scheme, method, drawn
     assert err == "error: no subject could be fitted; first error: " + first[2].removeprefix(
         "error: "
     )
+
+
+@pytest.mark.parametrize("output_format", ["json", "csv"])
+def test_an_exact_square_fits_alike_alone_and_in_its_block(tmp_path, output_format):
+    path = tmp_path / "square.csv"
+    path.write_text(EXACT_SQUARE)
+    argv = ["fit-taylor", "--input", str(path), "--scheme", "per_subject_species"]
+    argv += ["--method", "nls", "--format", output_format]
+    alone = reports(run([*argv, "--subject", "u0"])[1], output_format, many=False)
+    everyone = reports(run([*argv, "--subject", "all"])[1], output_format, many=True)
+    assert everyone[0] == alone[0]
 
 
 @pytest.mark.parametrize(
