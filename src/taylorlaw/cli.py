@@ -32,7 +32,7 @@ from . import _HOMES
 from ._choices import _PER_SUBJECT, EXPERIMENT_KINDS, PCF_FORMS, SCHEME_TAGS, _check_seed
 from ._fmt import _emit, _is_comment, sig12
 from ._records import _Checked
-from .errors import DataError, ParseError, TaylorLawError, UsageError
+from .errors import DataError, ParseError, TaylorLawError, UsageError, fresh_copy
 
 if TYPE_CHECKING:
     from .dispersion import DispersionFit
@@ -386,7 +386,7 @@ def _run_table_fit(config: RunConfig) -> dict:
         def report(item: tuple[str, MVSeries | DataError]) -> dict:
             series = item[1]
             if isinstance(series, DataError):
-                raise series
+                raise fresh_copy(series)
             return _report_dict(
                 build_fit_report(
                     series, series.scheme, config.method, config.alpha, config.min_pairs
@@ -445,7 +445,7 @@ def _run_dispersion(config: RunConfig) -> dict:
 def _fit_dict(result: DispersionFit | DataError) -> dict:
     """A species' fit as a report dict; a data error in its place is raised."""
     if isinstance(result, DataError):
-        raise result
+        raise fresh_copy(result)
     return result._asdict()
 
 

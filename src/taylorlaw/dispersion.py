@@ -27,6 +27,7 @@ from .errors import (
     DomainError,
     InsufficientDataError,
     UsageError,
+    fresh_copy,
 )
 from .fitting import _newton_minima
 
@@ -306,6 +307,6 @@ def fit_dispersion(
         )
     result = fit_dispersion_table(xs, [ns], c_interval)[0]
     if isinstance(result, DataError):
-        raise result
+        raise fresh_copy(result)
     return result
 

@@ -32,3 +32,14 @@ class DegenerateDesignError(DataError):
 
 class DomainError(DataError):
     """An argument lies outside the mathematical domain of the operation."""
+
+
+def fresh_copy(error: DataError) -> DataError:
+    """A new error of the same type and arguments as a stored ``error``.
+
+    Code that keeps errors to raise later (one per row of a block fit, one
+    per species of a table fit) raises this copy. A raised error holds its
+    traceback, whose frames hold the store that holds the error: a
+    reference cycle that only the cyclic garbage collector frees.
+    """
+    return type(error)(*error.args)

@@ -40,7 +40,7 @@ import numpy as np
 
 from ._choices import _PER_SUBJECT, SCHEME_TAGS
 from ._records import _Checked, _Frozen
-from .errors import DataError, UsageError
+from .errors import DataError, UsageError, fresh_copy
 from .tables import AbundanceTable, _fmt_time
 
 
@@ -211,7 +211,7 @@ def extract_pairs(table: AbundanceTable, scheme: Scheme) -> MVSeries:
     if scheme.tag in _PER_SUBJECT:
         series = _subject_series(table, scheme.tag, [scheme.subject])[0]
         if isinstance(series, DataError):
-            raise series
+            raise fresh_copy(series)
         return series
     # Huge counts can overflow a mean or variance to inf; that is reported
     # below as a data error, so numpy's overflow warning is silenced.

@@ -41,6 +41,7 @@ from .errors import (
     DomainError,
     InsufficientDataError,
     UsageError,
+    fresh_copy,
 )
 
 if TYPE_CHECKING:
@@ -168,7 +169,7 @@ def _block_fit(series: MVSeries, fit_rows, *args) -> PowerLawFit:
         results = block.fits[key] = fit_rows(block.means, block.variances, *args)
     result = results[series._row]
     if isinstance(result, DataError):
-        raise result.with_traceback(None)
+        raise fresh_copy(result)
     return result
 
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -1138,3 +1139,98 @@ class TestRenderReport:
         assert "top.inner[0],1.5" in lines
         assert "top.inner[1],2.5" in lines
         assert "empty," in lines
+
+
+def _cyclic_garbage(argv):
+    """Exit status of ``main(argv)`` run with the collector off, and the
+    number of objects in the reference cycles the run left."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return main(argv), gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _subjects_nls(root, n):
+    path = root / f"subjects{n}.csv"
+    path.write_text(synthetic_longitudinal(n, 8, 6))
+    scheme = ["--scheme", "per_subject_species", "--subject", "all"]
+    return ["fit-taylor", "--input", str(path), *scheme, "--method", "nls"]
+
+
+def _failing_subjects(root, n):
+    """Every other subject has only zero counts, so its fit fails."""
+    rows = ["subject_id,time,sp1,sp2,sp3,sp4"]
+    for s in range(n):
+        rows += [f"a{s},1,3,9,27,81", f"a{s},2,5,11,30,70", f"a{s},3,2,8,25,90"]
+        rows += [f"z{s},1,0,0,0,0", f"z{s},2,0,0,0,0"]
+    path = root / f"failing{n}.csv"
+    path.write_text("\n".join(rows) + "\n")
+    scheme = ["--scheme", "per_subject_species", "--subject", "all"]
+    return ["fit-taylor", "--input", str(path), *scheme]
+
+
+def _failing_species(root, n):
+    """One of every three species has a zero count, so its fit fails, and
+    one has a flat profile."""
+    rows = ["species,s1,s2,s3,s4,s5", "distance,0.5,1,2,4,8"]
+    for s in range(n):
+        rows += [f"d{s},120,60,25,9,2", f"v{s},4,2,0,1,0", f"f{s},5,5,5,5,5"]
+    path = root / f"species{n}.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return ["fit-dispersion", "--input", str(path)]
+
+
+def _hardcore_sweep(root, reps):
+    return ["experiment", "--kind", "hardcore_sweep", "--reps", str(reps)]
+
+
+class TestCyclicCollector:
+    """``cli.main`` leaves the cyclic garbage collector as it found it; the
+    process entry (``taylorlaw.__main__``) runs it with the collector off,
+    which is safe because the cycles a command leaves do not grow with its
+    input."""
+
+    @pytest.mark.parametrize(
+        "argv,status",
+        [
+            (["pacd", "--a", "2", "--b", "1.5"], 0),
+            (["simulate", "--kind", "brownian"], 1),
+            (["pacd", "--a", "nan", "--b", "2"], 2),
+        ],
+        ids=["success", "usage-error", "data-error"],
+    )
+    def test_main_leaves_the_collector_as_it_was(self, capsys, argv, status):
+        before = gc.isenabled(), gc.get_freeze_count()
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == status
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    @pytest.mark.parametrize(
+        "command,small,large",
+        [
+            (_subjects_nls, 40, 400),
+            (_failing_subjects, 5, 50),
+            (_failing_species, 5, 50),
+            (_hardcore_sweep, 2, 8),
+        ],
+        ids=["subjects-nls", "failing-subjects", "failing-species", "hardcore-sweep"],
+    )
+    def test_cyclic_garbage_does_not_grow_with_the_input(
+        self, tmp_path, command, small, large
+    ):
+        small_argv, large_argv = command(tmp_path, small), command(tmp_path, large)
+        # A first run also leaves the cycles of the modules it imports.
+        _cyclic_garbage(small_argv)
+        (small_rc, small_cycles), (large_rc, large_cycles) = map(
+            _cyclic_garbage, (small_argv, large_argv)
+        )
+        assert (small_rc, large_rc) == (0, 0)
+        assert small_cycles == large_cycles

@@ -6,7 +6,11 @@ as an oracle). The slope test's p-value is computed with ``math`` alone
 and the close-pair search with numpy alone, so the runtime needs numpy and
 nothing else. The bare import loads no submodule and no numpy; each
 command loads only the layers it calls, and none loads ``dataclasses`` or
-``numpy.ma`` (which ``np.unique`` imports, some 10 ms of start-up).
+``numpy.ma`` (which ``np.unique`` imports, some 10 ms of start-up). Every
+way a command leaves the process (a report, ``--help`` and a usage error)
+leaves the cyclic garbage collector off and the heap frozen, so the
+interpreter's shutdown collections skip every object; the bare import
+leaves both as they were.
 """
 
 import functools
@@ -22,10 +26,11 @@ from conftest import LOCATION_CSV, child_env, synthetic_longitudinal
 from taylorlaw.cli import COMMANDS
 
 # Runs ``python -m taylorlaw *argv`` when argv is given, else a bare
-# ``import taylorlaw``; then prints the exit status and the loaded modules
-# of the package, numpy, scipy and dataclasses.
+# ``import taylorlaw``; then prints the exit status, the loaded modules of
+# the package, numpy, scipy and dataclasses, whether the cyclic garbage
+# collector is on and whether any object is frozen.
 _CHILD = """
-import contextlib, io, json, runpy, sys
+import contextlib, gc, io, json, runpy, sys
 
 argv = json.loads(sys.argv[1])
 status = None
@@ -41,7 +46,8 @@ else:
             status = exc.code
 watched = ("taylorlaw", "numpy", "scipy", "dataclasses")
 loaded = sorted(m for m in sys.modules if m.partition(".")[0] in watched)
-print(json.dumps({"status": status, "modules": loaded}))
+gc_state = {"gc_enabled": gc.isenabled(), "gc_frozen": gc.get_freeze_count() > 0}
+print(json.dumps({"status": status, "modules": loaded, **gc_state}))
 """
 
 
@@ -121,6 +127,7 @@ _COMMANDS = [
         _LAYERS - {"pointprocess", "svgplot"},
     ),
     ("usage-error", ["simulate", "--kind", "brownian"], 1, set()),
+    ("help", ["--help"], 0, set()),
 ]
 _IDS = [case[0] for case in _COMMANDS]
 
@@ -131,7 +138,7 @@ def _formatted(argv, root):
 
 def test_table_names_every_command():
     named = {argv[0] for _, argv, _, _ in _COMMANDS if argv}
-    assert named == set(COMMANDS)
+    assert named == {*COMMANDS, "--help"}
 
 
 @pytest.mark.parametrize("argv,status", [case[1:3] for case in _COMMANDS], ids=_IDS)
@@ -154,6 +161,14 @@ def test_command_loads_only_its_layers(inputs, argv, status, allowed):
         assert layers == set()
     if not allowed:
         assert "numpy" not in child["modules"]
+
+
+@pytest.mark.parametrize("argv,status", [case[1:3] for case in _COMMANDS], ids=_IDS)
+def test_a_command_exits_without_the_cyclic_collector(inputs, argv, status):
+    child = run_child(_formatted(argv, inputs))
+    assert child["status"] == status
+    ran = argv is not None
+    assert (child["gc_enabled"], child["gc_frozen"]) == (not ran, ran)
 
 
 @pytest.mark.parametrize("name", taylorlaw.__all__)
