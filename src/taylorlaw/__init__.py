@@ -18,6 +18,15 @@ __version__ = "0.1.0"
 _HOMES = {
     "_choices": ("EXPERIMENT_KINDS", "SCHEME_TAGS"),
     "cli": ("FitReport", "RunConfig", "build_fit_report", "main", "run"),
+    "crossover": (
+        "Classification",
+        "PacdResult",
+        "classify",
+        "classify_from_params",
+        "pacd",
+        "pacd_from_params",
+        "t_tail_probability",
+    ),
     "dispersion": ("DispersionFit", "fit_dispersion", "fit_dispersion_table"),
     "errors": (
         "DataError",
@@ -37,18 +46,7 @@ _HOMES = {
         "mean_convert",
         "sample_variance",
     ),
-    "fitting": (
-        "Classification",
-        "PacdResult",
-        "PowerLawFit",
-        "classify",
-        "classify_from_params",
-        "fit_log_ols",
-        "fit_nls",
-        "pacd",
-        "pacd_from_params",
-        "t_tail_probability",
-    ),
+    "fitting": ("PowerLawFit", "fit_log_ols", "fit_nls"),
     "pointprocess": (
         "PcfEstimate",
         "PcfFit",

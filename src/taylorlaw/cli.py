@@ -35,19 +35,22 @@ from ._records import _Checked
 from .errors import DataError, ParseError, TaylorLawError, UsageError, fresh_copy
 
 if TYPE_CHECKING:
+    from .crossover import Classification, PacdResult
     from .dispersion import DispersionFit
     from .extraction import MVSeries, Scheme
-    from .fitting import Classification, PacdResult, PowerLawFit
+    from .fitting import PowerLawFit
     from .tables import AbundanceTable
 
-# The names each layer lends the runners: its public names, and fitting's
-# usable_mask. A name is bound here when a runner first loads its layer,
-# or when it is first read as an attribute (benchmark/spans.py reads the
-# names it wraps that way), and is never rebound: the runners look it up
-# in this module, so they call whatever wrapper was set here.
+# The names each layer (every home module but these three) lends the
+# runners: its public names, and fitting's usable_mask. A name is bound
+# here when a runner first loads its layer, or when it is first read as an
+# attribute (benchmark/spans.py reads the names it wraps that way), and is
+# never rebound: the runners look it up in this module, so they call
+# whatever wrapper was set here.
 _LAYERS = {
-    layer: _HOMES[layer]
-    for layer in ("tables", "extraction", "fitting", "dispersion", "pointprocess", "svgplot")
+    layer: names
+    for layer, names in _HOMES.items()
+    if layer not in ("_choices", "cli", "errors")
 }
 _LAYERS["fitting"] += ("usable_mask",)
 
@@ -159,8 +162,16 @@ class RunConfig(_Checked, _RunConfigFields):
             if self.a is not None or self.b is not None:
                 if self.a is None or self.b is None:
                     raise UsageError("pacd needs both --a and --b")
-                if self.input_path or self.scheme_tag:
-                    raise UsageError("pacd --a/--b excludes --input and --scheme")
+                # A table fit's flags would be ignored, so any that is set
+                # to other than its default is an error.
+                given = [
+                    flag
+                    for flag in _FIT_FLAGS
+                    if flag != "--format"
+                    and getattr(self, _dest(flag)) != self._field_defaults[_dest(flag)]
+                ]
+                if given:
+                    raise UsageError(f"pacd --a/--b excludes {', '.join(given)}")
             elif not (self.input_path and self.scheme_tag):
                 raise UsageError("pacd needs --a/--b or --input with --scheme")
 
@@ -189,7 +200,7 @@ def build_fit_report(
     min_pairs: int = 3,
 ) -> FitReport:
     """Fit ``series`` and derive critical density and classification."""
-    _load("fitting")
+    _load("fitting", "crossover")
     if method == "log_ols":
         fit = fit_log_ols(series, min_pairs=min_pairs)
     else:
@@ -417,7 +428,7 @@ def _run_table_fit(config: RunConfig) -> dict:
 
 def _run_pacd(config: RunConfig) -> dict:
     if config.a is not None:
-        _load("fitting")
+        _load("crossover")
         res = pacd_from_params(config.a, config.b)
         return {"command": "pacd", "a": config.a, "b": config.b, "pacd": res._asdict()}
     return _run_table_fit(config)

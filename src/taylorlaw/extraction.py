@@ -34,14 +34,16 @@ block (``fitting``), so the first fit of any row fits them all.
 from __future__ import annotations
 
 from itertools import compress
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from ._choices import _PER_SUBJECT, SCHEME_TAGS
 from ._records import _Checked, _Frozen
 from .errors import DataError, UsageError, fresh_copy
-from .tables import AbundanceTable, _fmt_time
+
+if TYPE_CHECKING:
+    from .tables import AbundanceTable
 
 
 class _SchemeFields(NamedTuple):
@@ -195,6 +197,10 @@ def mean_convert(table: AbundanceTable) -> AbundanceTable:
     Returns a cross-sectional table (no time axis) with one row per subject
     in first-appearance order; species order is preserved.
     """
+    # Imported here, not at the top: this is the one runtime use of tables
+    # here, and the point-pattern commands load this module without it.
+    from .tables import AbundanceTable
+
     if table.times is None:
         raise UsageError("mean conversion requires a table with a time axis")
     subjects = table.subjects()
@@ -274,7 +280,7 @@ def _subject_series(table: AbundanceTable, tag: str, subjects) -> list:
 def _labels(table: AbundanceTable, tag: str, subject: str) -> tuple[str, ...]:
     if tag == "per_subject_species":
         return table.species_ids
-    return tuple(_fmt_time(table.times[i]) for i in table.rows_for(subject))
+    return tuple(str(table.times[i]) for i in table.rows_for(subject))
 
 
 def _table_stats(table: AbundanceTable, tag: str):
@@ -292,7 +298,5 @@ def _table_stats(table: AbundanceTable, tag: str):
     elif table.times is None:
         labels = table.subject_ids
     else:
-        labels = tuple(
-            f"{s}@{_fmt_time(t)}" for s, t in zip(table.subject_ids, table.times)
-        )
+        labels = tuple(f"{s}@{t}" for s, t in zip(table.subject_ids, table.times))
     return (labels, *_row_stats(np.ascontiguousarray(counts)))

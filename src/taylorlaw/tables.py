@@ -491,10 +491,6 @@ def _fmt_number(x: float) -> str:
     return repr(x)
 
 
-def _fmt_time(t: TimeLabel) -> str:
-    return t.isoformat() if isinstance(t, date) else str(t)
-
-
 def format_cross_sectional(table: AbundanceTable) -> str:
     """Serialize an untimed table; inverse of :func:`parse_cross_sectional`."""
     if table.times is not None:
@@ -510,8 +506,9 @@ def format_longitudinal(table: AbundanceTable) -> str:
     if table.times is None:
         raise UsageError("table has no time axis; use format_cross_sectional")
     rows = [["subject_id", "time", *table.species_ids]]
+    # A time is an int or a date, and the str of a date is its ISO form.
     for subject, t, row in zip(table.subject_ids, table.times, table.counts):
-        rows.append([subject, _fmt_time(t), *(_fmt_number(x) for x in row)])
+        rows.append([subject, str(t), *(_fmt_number(x) for x in row)])
     return _emit(rows)
 
 

@@ -442,6 +442,42 @@ class TestPacdCommand:
             "pacd": {"m0": 0.25, "defined": True, "reason": ""},
         }
 
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--input", "t.csv"],
+            ["--scheme", "subjects_across_species"],
+            ["--subject", "x"],
+            ["--method", "nls"],
+            ["--alpha", "0.1"],
+            ["--min-pairs", "4"],
+            ["--normalize"],
+        ],
+        ids=lambda flag: flag[0],
+    )
+    def test_direct_parameters_exclude_a_table_fit_flag(self, capsys, flag):
+        assert main(["pacd", "--a", "2", "--b", "1.5", *flag]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: pacd --a/--b excludes {flag[0]}\n"
+
+    def test_direct_parameters_name_every_table_fit_flag_given(self, capsys):
+        argv = ["pacd", "--a", "2", "--b", "1.5", "--normalize", "--method", "nls"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: pacd --a/--b excludes --method, --normalize\n"
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--method", "log_ols"], ["--alpha", "0.05"], ["--min-pairs", "3"]],
+        ids=lambda flag: flag[0],
+    )
+    def test_direct_parameters_take_a_table_fit_flag_at_its_default(
+        self, capsys, flag
+    ):
+        direct = ["pacd", "--a", "2", "--b", "1.5"]
+        assert run_json(capsys, [*direct, *flag]) == run_json(capsys, direct)
+
     def test_undefined_at_unit_slope(self, capsys):
         doc = run_json(capsys, ["pacd", "--a", "2", "--b", "1"])
         assert doc["pacd"]["defined"] is False

@@ -38,7 +38,7 @@ from taylorlaw import (
     parse_cross_sectional,
     t_tail_probability,
 )
-from taylorlaw import fitting
+from taylorlaw import crossover, fitting
 from taylorlaw._fmt import sig12
 from taylorlaw.fitting import _grid_scan, _raw_objective
 
@@ -189,6 +189,37 @@ def test_tail_where_t_squared_nears_overflow(ln2_t, dof):
     t = 2.0**ln2_t
     expected = tail_by_incomplete_beta(t, dof)
     assert abs(t_tail_probability(t, dof) - expected) / expected <= 1e-14
+
+
+def gauss_fraction_recomputing_numerators(a: float, w: float) -> float:
+    """Reference: the Gauss continued fraction with every partial numerator
+    computed once in the forward Lentz pass and again in the backward sum."""
+
+    def numerator(n: int) -> float:
+        m = n // 2
+        if n % 2:
+            return (a + m) * (m + 0.5) / ((a + 2 * m) * (a + 2 * m + 1)) * w
+        return m * (a + m - 0.5) / ((a + 2 * m - 1) * (a + 2 * m)) * w
+
+    c, d = 1.0, 0.0
+    for depth in range(1, 1000):
+        e = numerator(depth)
+        d = 1.0 / (1.0 + e * d)
+        c = 1.0 + e / c
+        if abs(c * d - 1.0) < 4e-16:
+            break
+    f = 1.0
+    for n in range(depth, 0, -1):
+        f = 1.0 + numerator(n) / f
+    return f
+
+
+def test_gauss_fraction_keeps_the_bits_of_recomputed_numerators():
+    for a in (0.5, 1.0, 1.5, 2.0, 3.5, 5.0, 10.0, 20.5, 50.0):
+        for w in np.geomspace(0.01, 50.0, 120).tolist():
+            got = crossover._gauss_fraction(a, w)
+            assert got.hex() == gauss_fraction_recomputing_numerators(a, w).hex()
+
 
 class TestLogOls:
     def test_three_exact_pairs(self):

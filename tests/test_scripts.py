@@ -7,7 +7,7 @@ from pathlib import Path
 from conftest import child_env
 
 from taylorlaw import EXPERIMENT_KINDS
-from taylorlaw.fitting import PATTERNS
+from taylorlaw.crossover import PATTERNS
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 

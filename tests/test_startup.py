@@ -5,8 +5,11 @@ this process has scipy and every layer loaded already (the tests use scipy
 as an oracle). The slope test's p-value is computed with ``math`` alone
 and the close-pair search with numpy alone, so the runtime needs numpy and
 nothing else. The bare import loads no submodule and no numpy; each
-command loads only the layers it calls, and none loads ``dataclasses`` or
-``numpy.ma`` (which ``np.unique`` imports, some 10 ms of start-up). Every
+command loads exactly the layers it calls, and numpy only with a layer
+that needs it: ``pacd --a/--b`` loads ``crossover`` alone and no numpy,
+the point-pattern commands load no ``tables``, and ``fit-dispersion`` no
+``crossover``. None loads ``dataclasses`` or ``numpy.ma`` (which
+``np.unique`` imports, some 10 ms of start-up). Every
 way a command leaves the process (a report, ``--help`` and a usage error)
 leaves the cyclic garbage collector off and the heap frozen, so the
 interpreter's shutdown collections skip every object; the bare import
@@ -78,16 +81,25 @@ def inputs(tmp_path_factory):
 _NOISY = ["--input", "{root}/noisy.csv"]
 _SPECIES = [*_NOISY, "--scheme", "species_across_subjects"]
 
-_LAYERS = {"tables", "extraction", "fitting", "pointprocess", "dispersion", "svgplot"}
-_TABLE_FIT = _LAYERS - {"pointprocess", "dispersion", "svgplot"}
-_POINTS = _LAYERS - {"dispersion", "svgplot"}
+_LAYERS = {
+    "tables",
+    "extraction",
+    "fitting",
+    "crossover",
+    "pointprocess",
+    "dispersion",
+    "svgplot",
+}
+_TABLE_FIT = {"tables", "extraction", "fitting", "crossover"}
+_POINTS = {"extraction", "fitting", "pointprocess"}
+_EXPERIMENT = _POINTS | {"crossover"}
 
-# (id, argv or None for a bare import, exit status, the layers it may
-# load); every command of the CLI is named at least once, and both kinds
-# of plot load svgplot.
+# (id, argv or None for a bare import, exit status, the layers it loads);
+# every command of the CLI is named at least once, and both kinds of plot
+# load svgplot.
 _COMMANDS = [
     ("import", None, None, set()),
-    ("pacd-direct", ["pacd", "--a", "2", "--b", "1.5"], 0, {"fitting"}),
+    ("pacd-direct", ["pacd", "--a", "2", "--b", "1.5"], 0, {"crossover"}),
     ("pacd-input", ["pacd", *_SPECIES], 0, _TABLE_FIT),
     ("classify", ["classify", *_SPECIES], 0, _TABLE_FIT),
     (
@@ -108,14 +120,14 @@ _COMMANDS = [
         ["experiment", "--kind", "poisson_sweep", "--reps", "2"]
         + ["--levels", "50,100,200"],
         0,
-        _POINTS,
+        _EXPERIMENT,
     ),
     (
         "experiment-plot",
         ["experiment", "--kind", "poisson_sweep", "--reps", "2"]
         + ["--levels", "50,100,200", "--plot", "{root}/experiment.svg"],
         0,
-        _POINTS | {"svgplot"},
+        _EXPERIMENT | {"svgplot"},
     ),
     ("simulate-poisson", ["simulate", "--kind", "poisson"], 0, _POINTS),
     ("simulate-hardcore", ["simulate", "--kind", "hardcore"], 0, _POINTS),
@@ -124,7 +136,7 @@ _COMMANDS = [
         "fit-dispersion",
         ["fit-dispersion", "--input", "{root}/loc.csv"],
         0,
-        _LAYERS - {"pointprocess", "svgplot"},
+        {"tables", "fitting", "dispersion"},
     ),
     ("usage-error", ["simulate", "--kind", "brownian"], 1, set()),
     ("help", ["--help"], 0, set()),
@@ -148,19 +160,19 @@ def test_command_loads_no_scipy(inputs, argv, status):
     assert [m for m in child["modules"] if m.partition(".")[0] == "scipy"] == []
 
 
-@pytest.mark.parametrize("argv,status,allowed", [case[1:] for case in _COMMANDS], ids=_IDS)
-def test_command_loads_only_its_layers(inputs, argv, status, allowed):
+@pytest.mark.parametrize("argv,status,loaded", [case[1:] for case in _COMMANDS], ids=_IDS)
+def test_command_loads_only_its_layers(inputs, argv, status, loaded):
     child = run_child(_formatted(argv, inputs))
     assert child["status"] == status
     assert "dataclasses" not in child["modules"]
     assert "numpy.ma" not in child["modules"]
     layers = {m.split(".")[1] for m in child["modules"] if m.startswith("taylorlaw.")}
-    assert layers & _LAYERS <= allowed
+    assert layers & _LAYERS == loaded
     assert ("svgplot" in layers) == ("--plot" in (argv or ()))
     if argv is None:
         assert layers == set()
-    if not allowed:
-        assert "numpy" not in child["modules"]
+    # Every layer but crossover needs numpy: it is loaded exactly with one.
+    assert ("numpy" in child["modules"]) == bool(layers & (_LAYERS - {"crossover"}))
 
 
 @pytest.mark.parametrize("argv,status", [case[1:3] for case in _COMMANDS], ids=_IDS)
