@@ -51,7 +51,6 @@ _HOMES = {
         "PcfEstimate",
         "PcfFit",
         "PointPattern",
-        "QuadratCounts",
         "derive_seed",
         "estimate_pcf",
         "fit_pcf",
@@ -65,9 +64,6 @@ _HOMES = {
     "tables": (
         "AbundanceTable",
         "LocationTable",
-        "format_cross_sectional",
-        "format_location",
-        "format_longitudinal",
         "parse_cross_sectional",
         "parse_location",
         "parse_longitudinal",

@@ -1,8 +1,9 @@
-"""Text formatting shared by the table writers, the reports and the plots.
+"""Text formatting shared by the reports, the plots and the table parsers.
 
 All user-facing numbers are rendered at 12 significant digits so repeated
 runs with identical inputs produce byte-identical files. CSV rows are
-written with the tables' quoting rule, so a report can be read back with
+quoted where ``csv.reader`` needs it, and a leading field that the tables'
+comment rule would skip is quoted too, so a report can be read back with
 ``csv.reader``. Nothing here needs numpy.
 """
 

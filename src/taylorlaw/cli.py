@@ -351,13 +351,16 @@ def _normalize_table(table: AbundanceTable) -> AbundanceTable:
     """Divide every observation row by its row sum."""
     import numpy as np
 
-    sums = table.counts.sum(axis=1)
-    zero = np.flatnonzero(sums == 0)
-    if zero.size:
-        where = table.subject_ids[zero[0]]
+    with np.errstate(over="ignore"):
+        sums = table.counts.sum(axis=1)
+    bad = np.flatnonzero((sums == 0) | np.isinf(sums))
+    if bad.size:
+        r = bad[0]
+        where = table.subject_ids[r]
         if table.times is not None:
-            where = f"{where}@{table.times[zero[0]]}"
-        raise DataError(f"cannot normalize: row {where!r} sums to zero")
+            where = f"{where}@{table.times[r]}"
+        why = "sums to zero" if sums[r] == 0 else "sum overflows"
+        raise DataError(f"cannot normalize: row {where!r} {why}")
     return AbundanceTable(
         table.subject_ids,
         table.species_ids,

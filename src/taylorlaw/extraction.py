@@ -130,24 +130,6 @@ class MVSeries(_Frozen):
     def __len__(self) -> int:
         return len(self.labels)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MVSeries):
-            return NotImplemented
-        return (
-            self.scheme == other.scheme
-            and self.labels == other.labels
-            and np.array_equal(self.means, other.means)
-            and np.array_equal(self.variances, other.variances)
-        )
-
-    def __hash__(self) -> int:
-        return hash(
-            (self.scheme, self.labels, *self.means.tolist(), *self.variances.tolist())
-        )
-
-    def __repr__(self) -> str:
-        return f"MVSeries(scheme={self.scheme!r}, pairs={self.pairs!r})"
-
 
 def _check_pairs(labels: tuple, means: np.ndarray, variances: np.ndarray) -> None:
     """Unique labels, then finite and non-negative pairs, the first bad pair

@@ -77,47 +77,6 @@ class PointPattern(_Frozen):
     def n(self) -> int:
         return self.points.shape[0]
 
-    def __len__(self) -> int:
-        return self.n
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PointPattern):
-            return NotImplemented
-        return (
-            self.generator == other.generator
-            and self.seed == other.seed
-            and np.array_equal(self.points, other.points)
-        )
-
-
-class QuadratCounts(_Frozen):
-    """Counts of points per cell of a q-by-q partition of the unit square."""
-
-    __slots__ = ("q", "counts")
-
-    def __init__(self, q: int, counts):
-        if not (isinstance(q, (int, np.integer)) and q >= 1):
-            raise ValueError("q must be an integer >= 1")
-        counts = np.asarray(counts)
-        if counts.shape != (q, q):
-            raise ValueError(f"counts must have shape ({q}, {q})")
-        if not np.issubdtype(counts.dtype, np.integer):
-            raise ValueError("counts must be integers")
-        if counts.size and counts.min() < 0:
-            raise ValueError("counts must be non-negative")
-        self.counts = np.array(counts, copy=True)
-        self.counts.setflags(write=False)
-        self.q = int(q)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QuadratCounts):
-            return NotImplemented
-        return self.q == other.q and np.array_equal(self.counts, other.counts)
-
 
 class PcfEstimate(_Frozen):
     """Binned pair correlation estimate g(r) at ring centers ``radii``."""
@@ -142,9 +101,6 @@ class PcfEstimate(_Frozen):
         self.g = _readonly(g)
         self.bin_width = bin_width
         self.n_points = n_points
-
-    def __len__(self) -> int:
-        return self.radii.shape[0]
 
 
 class _PcfFitFields(NamedTuple):
@@ -308,9 +264,10 @@ def simulate_hardcore(
     return PointPattern(proposals[keep], descriptor, seed)
 
 
-def quadrat_counts(pattern: PointPattern, q: int) -> QuadratCounts:
-    """Count points per cell of the q-by-q grid; cell (i, j) holds the
-    points with floor(x*q) = i and floor(y*q) = j."""
+def quadrat_counts(pattern: PointPattern, q: int) -> np.ndarray:
+    """Count points per cell of the q-by-q grid: a read-only (q, q) int64
+    array whose cell (i, j) holds the points with floor(x*q) = i and
+    floor(y*q) = j."""
     if not (isinstance(q, (int, np.integer)) and q >= 1):
         raise UsageError("q must be an integer >= 1")
     q = int(q)
@@ -318,7 +275,8 @@ def quadrat_counts(pattern: PointPattern, q: int) -> QuadratCounts:
     ix = np.floor(pts[:, 0] * q).astype(np.int64)
     iy = np.floor(pts[:, 1] * q).astype(np.int64)
     flat = np.bincount(ix * q + iy, minlength=_within_limit("quadrats", q * q))
-    return QuadratCounts(q, flat.reshape(q, q))
+    flat.setflags(write=False)
+    return flat.reshape(q, q)
 
 
 def derive_seed(seed: int, kind: str, level_index: int, rep_index: int) -> int:
@@ -376,7 +334,7 @@ def taylor_experiment(
                 pattern = simulate_thomas(parent_intensity, level, sigma, sub)
             else:
                 pattern = simulate_hardcore(level, hardcore_radius, sub)
-            pooled.append(quadrat_counts(pattern, int(q)).counts.ravel())
+            pooled.append(quadrat_counts(pattern, int(q)).ravel())
         counts = np.concatenate(pooled).astype(float)
         pairs.append(
             MVPair(f"{level:g}", float(counts.mean()), sample_variance(counts))

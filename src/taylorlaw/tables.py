@@ -15,8 +15,9 @@ on the first line:
 
 A line whose first character is ``#`` followed by whitespace, another ``#``,
 or the end of the line is a comment and is skipped. A ``#`` glued to other
-text starts a data field, so subject ids like ``#400`` parse as data. The
-serializers quote a leading field that would otherwise look like a comment.
+text starts a data field, so subject ids like ``#400`` parse as data. A line
+that starts with a quote is never a comment, so a leading field that would
+read as one can be written quoted, as the CSV reports do.
 
 Counts are accepted as any non-negative finite real, not just integers, so
 that tables produced by time-series mean conversion reuse the same type.
@@ -33,6 +34,7 @@ cell in file order. Both routes give the same table, bit for bit.
 from __future__ import annotations
 
 import csv
+import re
 import warnings
 from collections import Counter
 from datetime import date
@@ -40,13 +42,16 @@ from typing import IO, Iterable, Sequence, Union
 
 import numpy as np
 
-from ._fmt import _emit, _is_comment
+from ._fmt import _is_comment
 from ._records import _Frozen
-from .errors import ParseError, UsageError
+from .errors import ParseError
 
 TimeLabel = Union[int, date]
 
 _NA_TOKENS = frozenset({"na", "n/a", "nan", "null", "none", ""})
+# The one date form: date.fromisoformat also takes week and basic-format
+# dates from Python 3.11 on, but not on 3.10.
+_ISO_DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 class _Parsed:
@@ -130,16 +135,6 @@ class AbundanceTable(_Frozen):
     def rows_for(self, subject: str) -> list[int]:
         return list(self._rows_by_subject().get(subject, ()))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AbundanceTable):
-            return NotImplemented
-        return (
-            self.subject_ids == other.subject_ids
-            and self.species_ids == other.species_ids
-            and self.times == other.times
-            and np.array_equal(self.counts, other.counts)
-        )
-
 
 class LocationTable(_Frozen):
     """Species x locations count matrix with ordered sampling locations."""
@@ -166,16 +161,6 @@ class LocationTable(_Frozen):
                 raise ValueError("distances must be strictly increasing")
         if self.distances and self.distances[0] <= 0:
             raise ValueError("distances must be strictly positive")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LocationTable):
-            return NotImplemented
-        return (
-            self.species_ids == other.species_ids
-            and self.location_labels == other.location_labels
-            and self.distances == other.distances
-            and np.array_equal(self.counts, other.counts)
-        )
 
 
 def _numbered_lines(text: Union[str, IO[str], Iterable[str]]) -> list[tuple[int, str]]:
@@ -422,6 +407,8 @@ def _parse_time_cells(cells: list[tuple[int, str]]) -> list[TimeLabel]:
     for line_no, cell in cells:
         token = cell.strip()
         try:
+            if not _ISO_DATE.fullmatch(token):
+                raise ValueError(token)
             as_date.append(date.fromisoformat(token))
         except ValueError:
             raise ParseError(
@@ -482,40 +469,3 @@ def parse_location(text: Union[str, IO[str], Iterable[str]]) -> LocationTable:
     if distances is None:
         distances = tuple(float(i) for i in range(1, len(labels) + 1))
     return LocationTable(tuple(species_ids), labels, _Parsed(counts), distances)
-
-
-def _fmt_number(x: float) -> str:
-    x = float(x)
-    if x == int(x) and abs(x) < 1e15:
-        return str(int(x))
-    return repr(x)
-
-
-def format_cross_sectional(table: AbundanceTable) -> str:
-    """Serialize an untimed table; inverse of :func:`parse_cross_sectional`."""
-    if table.times is not None:
-        raise UsageError("table has a time axis; use format_longitudinal")
-    rows = [["subject_id", *table.species_ids]]
-    for subject, row in zip(table.subject_ids, table.counts):
-        rows.append([subject, *(_fmt_number(x) for x in row)])
-    return _emit(rows)
-
-
-def format_longitudinal(table: AbundanceTable) -> str:
-    """Serialize a timed table; inverse of :func:`parse_longitudinal`."""
-    if table.times is None:
-        raise UsageError("table has no time axis; use format_cross_sectional")
-    rows = [["subject_id", "time", *table.species_ids]]
-    # A time is an int or a date, and the str of a date is its ISO form.
-    for subject, t, row in zip(table.subject_ids, table.times, table.counts):
-        rows.append([subject, str(t), *(_fmt_number(x) for x in row)])
-    return _emit(rows)
-
-
-def format_location(table: LocationTable) -> str:
-    """Serialize a location table; inverse of :func:`parse_location`."""
-    rows = [["species", *table.location_labels]]
-    rows.append(["distance", *(_fmt_number(d) for d in table.distances)])
-    for name, row in zip(table.species_ids, table.counts):
-        rows.append([name, *(_fmt_number(x) for x in row)])
-    return _emit(rows)

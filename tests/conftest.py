@@ -8,6 +8,7 @@ import numpy as np
 
 import taylorlaw
 from taylorlaw import MVPair, MVSeries
+from taylorlaw._fmt import _emit
 
 # Integer rows whose sample statistics hit V = 2*M^1.5 exactly:
 # means 1, 4, 16, 64 and variances 2, 16, 128, 1024.
@@ -72,3 +73,56 @@ def pairwise_torus_distances(points: np.ndarray) -> np.ndarray:
     d = np.abs(pts[i] - pts[j])
     d = np.minimum(d, 1.0 - d)
     return np.hypot(d[:, 0], d[:, 1])
+
+
+def same_fields(a, b) -> bool:
+    """Whether two array holders are of one type and equal field by field
+    over their public ``__slots__``, arrays by ``np.array_equal``."""
+    if type(a) is not type(b):
+        return False
+    for name in type(a).__slots__:
+        if name.startswith("_"):
+            continue
+        x, y = getattr(a, name), getattr(b, name)
+        if isinstance(x, np.ndarray):
+            if not np.array_equal(x, y):
+                return False
+        elif x != y:
+            return False
+    return True
+
+
+# The table writers: the parsers' round-trip oracle. Parsing what they write
+# must give back the table, field for field.
+
+
+def _fmt_number(x: float) -> str:
+    x = float(x)
+    if x == int(x) and abs(x) < 1e15:
+        return str(int(x))
+    return repr(x)
+
+
+def format_cross_sectional(table) -> str:
+    assert table.times is None
+    rows = [["subject_id", *table.species_ids]]
+    for subject, row in zip(table.subject_ids, table.counts):
+        rows.append([subject, *(_fmt_number(x) for x in row)])
+    return _emit(rows)
+
+
+def format_longitudinal(table) -> str:
+    assert table.times is not None
+    rows = [["subject_id", "time", *table.species_ids]]
+    # A time is an int or a date, and the str of a date is its ISO form.
+    for subject, t, row in zip(table.subject_ids, table.times, table.counts):
+        rows.append([subject, str(t), *(_fmt_number(x) for x in row)])
+    return _emit(rows)
+
+
+def format_location(table) -> str:
+    rows = [["species", *table.location_labels]]
+    rows.append(["distance", *(_fmt_number(d) for d in table.distances)])
+    for name, row in zip(table.species_ids, table.counts):
+        rows.append([name, *(_fmt_number(x) for x in row)])
+    return _emit(rows)

@@ -416,20 +416,38 @@ class TestNormalization:
         assert "'empty'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        ("text", "row"),
+        ("text", "row", "why"),
         [
-            ("subject_id,sp1,sp2\nfirst,0,0\ngood,1,2\nlast,0,0\n", "first"),
-            ("subject_id,time,sp1,sp2\na,1,1,2\nb,1,0,0\na,2,0,0\n", "a@2"),
+            (
+                "subject_id,sp1,sp2\nfirst,0,0\ngood,1,2\nlast,0,0\n",
+                "first",
+                "sums to zero",
+            ),
+            (
+                "subject_id,time,sp1,sp2\na,1,1,2\nb,1,0,0\na,2,0,0\n",
+                "a@2",
+                "sums to zero",
+            ),
+            (
+                "subject_id,sp1,sp2,sp3\ngood,1,2,3\na,1e308,1e308,1\nlast,0,0,0\n",
+                "a",
+                "sum overflows",
+            ),
         ],
     )
-    def test_zero_sum_error_names_the_first_such_row(self, capsys, tmp_path, text, row):
-        """Rows of a timed table are regrouped by subject before the check."""
+    def test_zero_sum_error_names_the_first_such_row(
+        self, capsys, tmp_path, text, row, why
+    ):
+        """Rows of a timed table are regrouped by subject before the check;
+        a row whose sum overflows is named, without a numpy warning."""
         path = tmp_path / "zero.csv"
         path.write_text(text)
         argv = ["fit-taylor", "--input", str(path), "--normalize"]
-        assert main(argv + ["--scheme", "subjects_across_species"]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--scheme", "subjects_across_species"]) == 2
         err = capsys.readouterr().err
-        assert err == f"error: cannot normalize: row {row!r} sums to zero\n"
+        assert err == f"error: cannot normalize: row {row!r} {why}\n"
 
 
 class TestPacdCommand:

@@ -17,7 +17,6 @@ from taylorlaw import (
     PcfEstimate,
     PcfFit,
     PointPattern,
-    QuadratCounts,
     UsageError,
     derive_seed,
     estimate_pcf,
@@ -29,7 +28,7 @@ from taylorlaw import (
     taylor_experiment,
 )
 from taylorlaw.pointprocess import _close_pairs
-from conftest import pairwise_torus_distances, torus_distance
+from conftest import pairwise_torus_distances, same_fields, torus_distance
 
 _unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 _point = st.tuples(_unit, _unit)
@@ -192,8 +191,8 @@ class TestSimulators:
     )
     def test_same_seed_same_pattern(self, make):
         runs = [make(11) for _ in range(3)]
-        assert runs[0] == runs[1] == runs[2]
-        assert runs[0] != make(12)
+        assert same_fields(runs[0], runs[1]) and same_fields(runs[1], runs[2])
+        assert not same_fields(runs[0], make(12))
 
     @pytest.mark.parametrize(
         "make",
@@ -348,7 +347,6 @@ class TestPointPattern:
     def test_empty_pattern_allowed(self):
         pattern = PointPattern(np.empty((0, 2)), "manual", 0)
         assert pattern.n == 0
-        assert len(pattern) == 0
 
     def test_points_are_read_only(self):
         pattern = PointPattern(np.array([[0.5, 0.5]]), "manual", 0)
@@ -362,14 +360,16 @@ class TestQuadratCounts:
             np.array([[0.1, 0.1], [0.6, 0.1], [0.9, 0.95]]), "manual", 0
         )
         qc = quadrat_counts(pattern, 2)
-        np.testing.assert_array_equal(qc.counts, [[1, 0], [1, 1]])
-        assert qc.total == 3
+        np.testing.assert_array_equal(qc, [[1, 0], [1, 1]])
+        assert qc.dtype == np.int64
+        with pytest.raises(ValueError):
+            qc[0, 0] = 9
 
     def test_single_cell_holds_everything(self):
         pattern = simulate_poisson(50.0, 3)
         qc = quadrat_counts(pattern, 1)
-        assert qc.counts.shape == (1, 1)
-        assert qc.total == pattern.n
+        assert qc.shape == (1, 1)
+        assert qc[0, 0] == pattern.n
 
     def test_invalid_q(self):
         pattern = simulate_poisson(10.0, 3)
@@ -383,16 +383,9 @@ class TestQuadratCounts:
     def test_cells_partition_the_points(self, seed, q):
         pattern = simulate_poisson(80.0, seed)
         qc = quadrat_counts(pattern, q)
-        assert qc.total == pattern.n
-        assert qc.counts.min() >= 0
-
-    def test_counts_validation(self):
-        with pytest.raises(ValueError, match="shape"):
-            QuadratCounts(2, np.zeros((2, 3), dtype=int))
-        with pytest.raises(ValueError, match="integers"):
-            QuadratCounts(2, np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="non-negative"):
-            QuadratCounts(1, np.array([[-1]]))
+        assert qc.shape == (q, q)
+        assert qc.sum() == pattern.n
+        assert qc.min() >= 0
 
 
 class TestDeriveSeed:
@@ -477,7 +470,7 @@ class TestEstimatePcf:
         # whose null probability is 2*pi*0.105*0.01.
         pattern = PointPattern(np.array([[0.2, 0.2], [0.2, 0.305]]), "manual", 0)
         est = estimate_pcf(pattern, bin_width=0.01, r_max=0.2)
-        assert len(est) == 20
+        assert est.radii.size == 20
         nonzero = np.nonzero(est.g)[0]
         assert list(nonzero) == [10]
         assert est.radii[10] == pytest.approx(0.105, rel=1e-12)
@@ -522,7 +515,7 @@ class TestEstimatePcf:
         pattern = simulate_poisson(100.0, 4)
         for w, r_max in [(0.01, 0.25), (0.05, 0.49), (0.12, 0.49)]:
             est = estimate_pcf(pattern, w, r_max)
-            assert len(est) >= 1
+            assert est.radii.size >= 1
             assert est.radii[-1] + w / 2 <= 0.5 + 1e-12
 
     def test_poisson_estimate_hovers_near_one(self):
@@ -624,7 +617,6 @@ class TestPcfValueObjects:
     def test_array_holders_are_frozen(self):
         holders = [
             (PointPattern(np.array([[0.5, 0.5]]), "manual", 0), ("points", "seed")),
-            (QuadratCounts(1, np.array([[1]])), ("q", "counts")),
             (PcfEstimate(np.array([0.1]), np.array([1.0]), 0.01, 10), ("g", "n_points")),
         ]
         for obj, fields in holders:
