@@ -351,6 +351,8 @@ def _normalize_table(table: AbundanceTable) -> AbundanceTable:
     """Divide every observation row by its row sum."""
     import numpy as np
 
+    from .tables import _Parsed
+
     with np.errstate(over="ignore"):
         sums = table.counts.sum(axis=1)
     bad = np.flatnonzero((sums == 0) | np.isinf(sums))
@@ -361,10 +363,12 @@ def _normalize_table(table: AbundanceTable) -> AbundanceTable:
             where = f"{where}@{table.times[r]}"
         why = "sums to zero" if sums[r] == 0 else "sum overflows"
         raise DataError(f"cannot normalize: row {where!r} {why}")
+    # A finite, non-negative count over its positive, finite row sum is
+    # finite and non-negative: the quotient needs neither a copy nor a check.
     return AbundanceTable(
         table.subject_ids,
         table.species_ids,
-        table.counts / sums[:, None],
+        _Parsed(table.counts / sums[:, None]),
         times=table.times,
     )
 

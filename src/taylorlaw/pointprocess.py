@@ -20,7 +20,7 @@ power-law fitting.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,9 @@ from .errors import (
     InsufficientDataError,
     UsageError,
 )
-from .extraction import MVPair, MVSeries, sample_variance
-from .fitting import _ols_lines
+
+if TYPE_CHECKING:
+    from .extraction import MVSeries
 
 # Most points, quadrats, rings, pooled counts, pairs or candidate pairs (of
 # one block) one call may ask for.
@@ -323,6 +324,8 @@ def taylor_experiment(
         raise UsageError("q must be an integer >= 1")
     _within_limit("pooled counts per level", int(reps) * int(q) ** 2)
 
+    from .extraction import MVPair, MVSeries, sample_variance
+
     pairs = []
     for li, level in enumerate(lv):
         pooled = []
@@ -395,6 +398,8 @@ def fit_pcf(est: PcfEstimate, form: str) -> PcfFit:
         raise InsufficientDataError(
             f"insufficient signal: {x_all.size} usable bins for {form}, need 3"
         )
+    from .fitting import _ols_lines
+
     line = _ols_lines(x_all[None], y_all[None])[0]
     s = -line.slope
     if s == 0.0:

@@ -23,12 +23,15 @@ Counts are accepted as any non-negative finite real, not just integers, so
 that tables produced by time-series mean conversion reuse the same type.
 Missing cells (``NA`` and friends) are rejected, never imputed.
 
-A table's count block is converted in one ``np.loadtxt`` when splitting
+A table's count block is converted at once by ``np.loadtxt`` when splitting
 each line on commas gives the fields ``csv.reader`` would: no quote, no NUL
-byte and no field over the csv size limit. The checked reader, one csv
-split and one conversion per row, reads every other table and any table
-that fails a check there, so that its error names the first bad line and
-cell in file order. Both routes give the same table, bit for bit.
+byte and no field over the csv size limit. A block with no ``-``, ``.``,
+``e`` or ``E`` is read as int64 and cast to float; one with such a
+character, or with a cell that is no int64, is read as float. The checked
+reader, one csv split and one conversion per row, reads every other table
+and any table that fails a check there, so that its error names the first
+bad line and cell in file order. All three routes give the same table, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -151,6 +154,8 @@ class LocationTable(_Frozen):
             raise ValueError("location_labels must be non-empty")
         if len(set(self.species_ids)) != len(self.species_ids):
             raise ValueError("duplicate species_ids")
+        if len(set(self.location_labels)) != len(self.location_labels):
+            raise ValueError("duplicate location_labels")
         self.counts = _as_readonly_counts(
             counts, len(self.species_ids), len(self.location_labels), "location"
         )
@@ -227,16 +232,17 @@ def _read_header(
     rows: list[tuple[int, list[str]]], lead: Sequence[str]
 ) -> tuple[str, ...]:
     """Check that the header starts with ``lead``; return the unique column
-    names after it."""
+    names after it: locations after ``species``, else species."""
     head_no, header = rows[0]
     if [f.strip() for f in header[: len(lead)]] != list(lead):
         raise ParseError(f"line {head_no}: header must start with {','.join(lead)!r}")
+    kind = "location" if lead[0] == "species" else "species"
     names = tuple(s.strip() for s in header[len(lead) :])
     if not names:
-        raise ParseError(f"line {head_no}: header names no species columns")
+        raise ParseError(f"line {head_no}: header names no {kind} columns")
     dupes = [s for s, n in Counter(names).items() if n > 1]
     if dupes:
-        raise ParseError(f"line {head_no}: duplicate species column {min(dupes)!r}")
+        raise ParseError(f"line {head_no}: duplicate {kind} column {min(dupes)!r}")
     return names
 
 
@@ -303,17 +309,39 @@ def _read_distances(
     return tuple(parsed)
 
 
+# A block holding none of these takes numpy's integer tokenizer first: "-"
+# keeps -0 (and every negative) on the float route, where -0 stays -0.0;
+# ".", "e" and "E" mark a float cell, which the integer attempt would fail.
+_NOT_INTEGER = "-.eE"
+
+
+def _convert(rests: list[str]) -> np.ndarray:
+    """The comma-separated count lines as a float matrix: read as int64 and
+    cast to float (which rounds each integer as ``float(str)`` does) when no
+    line holds a character of ``_NOT_INTEGER`` and every cell is an int64,
+    else read as float. The caller turns warnings into errors."""
+    kwargs = dict(delimiter=",", comments=None, ndmin=2)
+    if not any(c in rest for rest in rests for c in _NOT_INTEGER):
+        try:
+            return np.loadtxt(rests, dtype=np.int64, **kwargs).astype(float)
+        except (ValueError, Warning):
+            # NA, inf, 1_0, a non-ASCII digit, 2**63 or more; an older numpy
+            # reads an integer past int64 through float, with a warning.
+            pass
+    return np.loadtxt(rests, dtype=float, **kwargs)
+
+
 def _read_block(
     lines: list[tuple[int, str]], n_lead: int, n_cols: int, unique: bool
 ):
-    """Convert the data lines of a table that splits like csv in one
-    ``np.loadtxt``.
+    """Convert the data lines of a table that splits like csv at once.
 
     Each line is split into its ``n_lead`` lead fields and the rest, and all
-    the rests are converted at once. Returns each row as its line number and
-    fields (the lead fields, then the rest), the stripped ids and the count
-    matrix; or None when the block is ragged, fails to convert, warns, holds
-    a non-finite or negative value, or repeats an id that must be unique.
+    the rests are converted at once by :func:`_convert`. Returns each row as
+    its line number and fields (the lead fields, then the rest), the
+    stripped ids and the count matrix; or None when the block is ragged,
+    fails to convert, warns, holds a non-finite or negative value, or
+    repeats an id that must be unique.
     """
     data = [(line_no, line.split(",", n_lead)) for line_no, line in lines]
     if not data or any(len(fields) != n_lead + 1 for _, fields in data):
@@ -321,13 +349,7 @@ def _read_block(
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            counts = np.loadtxt(
-                [fields[-1] for _, fields in data],
-                delimiter=",",
-                comments=None,
-                dtype=float,
-                ndmin=2,
-            )
+            counts = _convert([fields[-1] for _, fields in data])
     except (ValueError, Warning):
         return None
     ids = [fields[0].strip() for _, fields in data]

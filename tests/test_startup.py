@@ -91,8 +91,7 @@ _LAYERS = {
     "svgplot",
 }
 _TABLE_FIT = {"tables", "extraction", "fitting", "crossover"}
-_POINTS = {"extraction", "fitting", "pointprocess"}
-_EXPERIMENT = _POINTS | {"crossover"}
+_EXPERIMENT = {"extraction", "fitting", "pointprocess", "crossover"}
 
 # (id, argv or None for a bare import, exit status, the layers it loads);
 # every command of the CLI is named at least once, and both kinds of plot
@@ -129,9 +128,9 @@ _COMMANDS = [
         0,
         _EXPERIMENT | {"svgplot"},
     ),
-    ("simulate-poisson", ["simulate", "--kind", "poisson"], 0, _POINTS),
-    ("simulate-hardcore", ["simulate", "--kind", "hardcore"], 0, _POINTS),
-    ("pcf", ["pcf", "--kind", "poisson"], 0, _POINTS),
+    ("simulate-poisson", ["simulate", "--kind", "poisson"], 0, {"pointprocess"}),
+    ("simulate-hardcore", ["simulate", "--kind", "hardcore"], 0, {"pointprocess"}),
+    ("pcf", ["pcf", "--kind", "poisson"], 0, {"pointprocess", "fitting"}),
     (
         "fit-dispersion",
         ["fit-dispersion", "--input", "{root}/loc.csv"],

@@ -218,6 +218,44 @@ class TestLocation:
             parse_location(text)
 
 
+# A location table's columns are locations; the other layouts' are species.
+@pytest.mark.parametrize(
+    "parse,text,message",
+    [
+        (
+            parse_cross_sectional,
+            "subject_id\na\n",
+            "line 1: header names no species columns",
+        ),
+        (
+            parse_cross_sectional,
+            "subject_id,sp1,sp1\na,1,2\n",
+            "line 1: duplicate species column 'sp1'",
+        ),
+        (
+            parse_longitudinal,
+            "subject_id,time\na,0\n",
+            "line 1: header names no species columns",
+        ),
+        (
+            parse_longitudinal,
+            "subject_id,time,a,a\ns,0,1,2\n",
+            "line 1: duplicate species column 'a'",
+        ),
+        (parse_location, "species\nsp\n", "line 1: header names no location columns"),
+        (
+            parse_location,
+            "species,x,x\ndistance,1,2\nsp,1,2\n",
+            "line 1: duplicate location column 'x'",
+        ),
+    ],
+)
+def test_header_errors_name_the_columns_of_the_layout(parse, text, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
 class TestTableInvariants:
     def test_counts_are_read_only(self):
         table = parse_cross_sectional("subject_id,sp1\na,1\n")
@@ -287,6 +325,10 @@ class TestTableInvariants:
             AbundanceTable(
                 ("a", "a"), ("s1",), np.array([[1.0], [2.0]]), times=(2, 1)
             )
+
+    def test_duplicate_location_labels_rejected(self):
+        with pytest.raises(ValueError, match="duplicate location_labels"):
+            LocationTable(("sp",), ("x", "x"), [[1.0, 2.0]], (1.0, 2.0))
 
     def test_location_distances_validated(self):
         with pytest.raises(ValueError):
@@ -498,6 +540,8 @@ _OVER_LIMIT = "0" * (csv.field_size_limit() + 1)
 _ROUTE_CELLS = [
     "1_0", "\u0661", "\uff11\uff12", " 7 ", "-0", "inf", "1e400", "NA", "",
     "0x10", "-1", "2.5", '"3"', '"4,5"', "1\0", _OVER_LIMIT,
+    "+5", "007", "9007199254740993", "9223372036854775807",
+    "9223372036854775808", "1234567890123456789012345",
 ]
 _LAYOUTS = {
     "cross_sectional": (parse_cross_sectional, ["subject_id"]),
@@ -511,6 +555,10 @@ def _outcome(parse, text):
         table = parse(text)
     except ParseError as exc:
         return ("error", str(exc))
+    return _bits(table)
+
+
+def _bits(table):
     hexed = [[v.hex() for v in row] for row in table.counts.tolist()]
     if isinstance(table, LocationTable):
         distances = [d.hex() for d in table.distances]
@@ -555,7 +603,8 @@ def test_block_and_checked_routes_agree(data):
     layout = data.draw(st.sampled_from(sorted(_LAYOUTS)))
     n_species = data.draw(st.integers(1, 3))
     clean = data.draw(st.booleans())
-    cells = st.integers(0, 99).map(str) if clean else _route_cells
+    small = st.integers(0, 99).map(str)
+    cells = st.one_of(small, st.integers(0, 2**64).map(str)) if clean else _route_cells
     rows = []
     for _ in range(data.draw(st.integers(1, 4))):
         row = [data.draw(st.sampled_from(["a", "b", "c", " a", "#1", "a\0"]))]
@@ -575,6 +624,58 @@ def test_block_and_checked_routes_agree(data):
     for extra in data.draw(st.lists(st.sampled_from(["# note", "", "  "]), max_size=2)):
         lines.insert(data.draw(st.integers(1, len(lines))), extra)
     _assert_routes_agree(_LAYOUTS[layout][0], newline.join(lines))
+
+
+_INTEGER_ROWS = [
+    [f"s{i}", *(str((7 * i + j) % 50) for j in range(300))] for i in range(40)
+]
+_LAST_CELL_FLOAT = [*_INTEGER_ROWS[:-1], [*_INTEGER_ROWS[-1][:-1], "2.5"]]
+
+
+@pytest.mark.parametrize(
+    "parse,text,dtypes",
+    [
+        (
+            parse_cross_sectional,
+            _table_text("cross_sectional", _INTEGER_ROWS, 300),
+            ["int64"],
+        ),
+        (
+            parse_longitudinal,
+            "subject_id,time,a,b\ns,1,1,9007199254740993\nt,1,2,0\ns,2,3,+4\n",
+            ["int64"],
+        ),
+        (
+            parse_cross_sectional,
+            _table_text("cross_sectional", _LAST_CELL_FLOAT, 300),
+            ["float64"],
+        ),
+        (parse_location, "species,l1,l2\nsp1,-0,1\nsp2,3,4\n", ["float64"]),
+        (
+            parse_cross_sectional,
+            "subject_id,a,b\ns1,1,9223372036854775808\n",
+            ["int64", "float64"],
+        ),
+    ],
+    ids=["wide", "longitudinal", "last_cell_float", "minus_zero", "past_int64"],
+)
+def test_an_integer_block_converts_in_one_int64_call(monkeypatch, parse, text, dtypes):
+    """A block with a '-', '.', 'e' or 'E' anywhere makes no int64 attempt;
+    a cell past int64 falls back to one float call."""
+    with mock.patch.object(tables, "_read_block", lambda *args: None):
+        checked = _outcome(parse, text)
+    real, seen = np.loadtxt, []
+
+    def spy(*args, dtype=float, **kwargs):
+        seen.append(np.dtype(dtype).name)
+        return real(*args, dtype=dtype, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    table = parse(text)
+    assert seen == dtypes
+    assert _bits(table) == checked
+    if parse is parse_location:
+        assert np.signbit(table.counts[0, 0])
 
 
 def _refuse(*args, **kwargs):
