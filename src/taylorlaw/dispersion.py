@@ -2,9 +2,11 @@
 
 A decay law ln N = a + b*x^c + d*ln x is fitted to (distance, abundance)
 data by profiling the inner exponent c, with the remaining parameters
-solved exactly by linear least squares at each candidate c: a grid whose
-designs are factored once per distance row, so once for a whole location
-table, then Newton steps with a Gauss-Newton curvature.
+solved exactly by linear least squares at each candidate c. One solver
+does every solve: a stacked SVD of the designs at a vector of c values
+(``_factor``). It factors a grid of c once per distance row, so once for a
+whole location table, then each Newton step, with a Gauss-Newton
+curvature, for every species still stepping.
 
 The c profile over a bounded interval can be flat in two well-known ways:
 as c -> 0 the b*x^c term collapses into the intercept, and data that is an
@@ -35,7 +37,6 @@ _GRID_POINTS = 161
 _C_FLOOR = 1e-6
 _TINY = float(np.finfo(float).tiny)
 _HUGE = float(np.finfo(float).max)
-_BLOCK = 2**20
 
 
 class _DispersionFitFields(NamedTuple):
@@ -67,96 +68,57 @@ class DispersionFit(_Checked, _DispersionFitFields):
             raise ValueError("rss_log must be non-negative")
 
 
-class _Solve(NamedTuple):
-    """The exact fit at one c: the RSS with its slope and Gauss-Newton
-    curvature in c, then (a, b, d) and the rank of the design."""
-
-    rss: float
-    slope: float
-    curvature: float
-    coef: np.ndarray
-    rank: int
-
-
-def _inner_solve(
-    log_x: np.ndarray, x: np.ndarray, log_n: np.ndarray, c: float
-) -> _Solve:
-    """Exact least squares in (a, b, d) for fixed c, and the profile's
-    derivatives in c.
-
-    With z = x^c ln x the variable-projection gradient of the RSS is
-    -2b r.z, and Kaufman's Gauss-Newton curvature is 2b^2 |Pz|^2, where P
-    projects onto the complement of the design's columns (Kaufman 1975,
-    BIT 15:49). One lstsq with the right-hand sides [ln N, z/max(x^c)]
-    gives both the residual r and Pz; as r is orthogonal to the columns,
-    r.z = r.Pz. The scaling keeps z finite where max(x)^c nears the largest
-    float, while b*max(x^c), the fitted term at its largest, stays finite.
+def _factor(
+    x: np.ndarray, log_x: np.ndarray, cs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The designs [1, x^c, ln x] at each c of ``cs`` (k,), factored by one
+    stacked SVD, as lstsq with rcond=None would: singular values at or
+    below eps*max(n, 3)*s_max count as zero. Returns x^c (k, n), then U^T
+    (k, 3, n) and V/s (k, 3, 3) with the dropped columns zeroed, and the
+    rank (k,). The exponents are written into the design first, as in
+    ``fitting._powers``, so x^c rounds alike for every shape of ``cs``.
     """
-    power = np.power(x, c)
-    top = power.max()
-    design = np.column_stack([np.ones_like(x), power, log_x])
-    rhs = np.column_stack([log_n, power / top * log_x])
-    coef, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
-    r, pz = (rhs - design @ coef).T
-    b_top = float(coef[1, 0] * top)
-    return _Solve(
-        float(r @ r),
-        -2.0 * b_top * float(r @ pz),
-        2.0 * b_top * b_top * float(pz @ pz),
-        coef[:, 0],
-        int(rank),
+    n = len(x)
+    design = np.empty((len(cs), n, 3))
+    design[:, :, 0] = 1.0
+    design[:, :, 1] = cs[:, None]
+    design[:, :, 2] = log_x
+    power = np.power(x, design[:, :, 1], out=design[:, :, 1])
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(n, 3) * s[:, :1]
+    ut = (u * keep[:, None, :]).transpose(0, 2, 1).copy()
+    vs = vt.transpose(0, 2, 1) / np.where(keep, s, np.inf)[:, None, :]
+    return power, ut, vs, keep.sum(axis=1)
+
+
+def _project(ut: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """U^T y and the residual y - U U^T y of each y (..., n), with ``ut``
+    (..., 3, n) from ``_factor``. Every product is elementwise and summed
+    over a fixed axis, so a row's result does not depend on the rows
+    stacked with it, as a stacked matmul's can.
+    """
+    w = (ut * y[..., None, :]).sum(axis=-1)
+    fitted = (
+        ut[..., 0, :] * w[..., 0, None]
+        + ut[..., 1, :] * w[..., 1, None]
+        + ut[..., 2, :] * w[..., 2, None]
     )
+    return w, y - fitted
 
 
 def _grid_profile(
     log_x: np.ndarray, x: np.ndarray, log_n: np.ndarray, grid: np.ndarray
 ) -> np.ndarray:
     """The RSS profiles over ``grid`` of every row of ``log_n``, one column
-    per row, exactly ``_inner_solve``'s where it counts.
-
-    One stacked SVD of the designs [1, x^c, ln x] serves every row, and
-    U(U^T Y) gives all their residuals, leaving out the singular values that
-    lstsq's rcond=None rule drops. Each RSS carries an error bound
-    4*delta*(sqrt(rss) + delta) that covers both it and lstsq's.
-    delta = 64*n*eps*(1 + 2*kappa)*|ln N| bounds the residual error of
-    either solve, kappa = s_max/s_min (Golub & Van Loan, Matrix
-    Computations, Thm 5.3.1); 64*n*eps is some 40 times the largest
-    backward error measured on 3,600 generated tables. In each column,
-    every point whose bound reaches the lowest upper or the highest lower
-    bound is solved again by ``_inner_solve``, as is any point whose rank
-    is in doubt or whose bound is not finite. Each column's argmin, minimum
-    and maximum are then those of a loop over ``_inner_solve``, bit for bit.
+    per row. One stacked SVD of the grid's designs serves every row
+    (``_factor``), and each row is projected on its own (``_project``), so
+    its profile is the one it has alone.
     """
-    n = len(x)
-    eps = np.finfo(float).eps
-    with np.errstate(all="ignore"):
-        design = np.empty((len(grid), n, 3))
-        design[:, :, 0] = 1.0
-        design[:, :, 1] = np.power(x, grid[:, None])
-        design[:, :, 2] = log_x
-        finite = np.isfinite(design).all(axis=(1, 2))
-        design[~finite] = 0.0
-        u, s, _ = np.linalg.svd(design, full_matrices=False)
-        cut = eps * max(n, 3) * s[:, :1]
-        keep = s > cut
-        u *= keep[:, None, :]
-        rss = np.empty((len(grid), len(log_n)))
-        rows = max(1, _BLOCK // (len(grid) * n))  # bounds the (grid, n, rows) blocks
-        for j in range(0, len(log_n), rows):
-            y = log_n[j : j + rows].T
-            resid = y - u @ (u.swapaxes(1, 2) @ y)
-            rss[:, j : j + rows] = np.einsum("gic,gic->gc", resid, resid)
-        kappa = s[:, 0] / np.where(keep, s, np.inf).min(axis=1)
-        norm = np.sqrt(np.einsum("ki,ki->k", log_n, log_n))
-        delta = 64 * n * eps * np.outer(1 + 2 * kappa, norm)
-        err = 4 * delta * (np.sqrt(rss) + delta)
-        rank_in_doubt = ((s > cut / 1e3) & (s < cut * 1e3)).any(axis=1)
-        sure = (finite & ~rank_in_doubt)[:, None] & np.isfinite(err)
-        low = np.where(sure, rss - err, -np.inf)
-        high = np.where(sure, rss + err, np.inf)
-    again = (low <= high.min(axis=0)) | (high >= low.max(axis=0))
-    for g, j in zip(*np.nonzero(again)):
-        rss[g, j] = _inner_solve(log_x, x, log_n[j], grid[g]).rss
+    ut = _factor(x, log_x, grid)[1]
+    rss = np.empty((len(grid), len(log_n)))
+    for j, y in enumerate(log_n):
+        r = _project(ut, y)[1]
+        rss[:, j] = np.einsum("gi,gi->g", r, r)
     return rss
 
 
@@ -193,15 +155,21 @@ def fit_dispersion_table(
     distances ``xs``, by a one-dimensional profile over c.
 
     Each row gets the fit ``fit_dispersion`` gives it, or in its place the
-    data error that it raises. A bad ``c_interval`` raises ``UsageError`` as
-    soon as one row passes its data checks. The distance row is checked, and
-    the 161 designs of the c grid are factored, once for the whole table
-    (``_grid_profile``).
+    data error that it raises. A bad ``c_interval`` raises ``UsageError``
+    whatever the table holds. The distance row is checked, and the 161
+    designs of the c grid are factored, once for the whole table
+    (``_grid_profile``); each Newton step factors the designs of every
+    species still stepping together.
     """
     x = np.asarray(xs, dtype=float)
     ns = np.asarray(counts, dtype=float)
     if ns.ndim != 2 or ns.shape[1] != len(x):
         raise UsageError(f"counts must be a table with one column per distance ({len(x)})")
+    lo, hi = float(c_interval[0]), float(c_interval[1])
+    if not -math.inf < lo < hi < math.inf:
+        raise UsageError("c interval must have finite ends and positive width")
+    if not hi > _C_FLOOR:
+        raise UsageError(f"c interval must extend above {_C_FLOOR}")
     if len(x) < 4:
         error = InsufficientDataError(f"insufficient data: {len(x)} points, need at least 4")
         return [error] * len(ns)
@@ -228,31 +196,43 @@ def fit_dispersion_table(
     best = profiles.argmin(axis=0)
 
     def objective(cs: np.ndarray, rows) -> tuple:
-        solves = np.empty(len(cs), dtype=object)
-        for j, (y, c) in enumerate(zip(log_n[rows], cs.tolist())):
-            solves[j] = _inner_solve(log_x, x, y, c)
-        return (*np.array([solve[:3] for solve in solves]).T, solves)
+        # Kaufman's variable projection (BIT 15:49, 1975): with z = x^c ln x
+        # the RSS has slope -2b r.z and Gauss-Newton curvature 2b^2 |Pz|^2 in
+        # c, P projecting onto the complement of the design's columns. The
+        # right-hand side z/max(x^c) gives Pz; as r is orthogonal to the
+        # columns, r.z = r.Pz. The scaling keeps z finite where max(x)^c
+        # nears the largest float, while b*max(x^c) stays finite.
+        power, ut, vs, rank = _factor(x, log_x, cs)
+        top = power.max(axis=1)
+        y = np.stack([log_n[rows], power / top[:, None] * log_x], axis=1)
+        w, resid = _project(ut[:, None], y)
+        r, pz = resid[:, 0], resid[:, 1]
+        coef = (vs * w[:, None, 0]).sum(axis=-1)
+        b_top = coef[:, 1] * top
+        rss = np.einsum("ki,ki->k", r, r)
+        return (
+            rss,
+            -2.0 * b_top * np.einsum("ki,ki->k", r, pz),
+            2.0 * b_top * b_top * np.einsum("ki,ki->k", pz, pz),
+            np.column_stack([rss, coef, rank]),
+        )
 
-    c_hats, solves = _newton_minima(
+    c_hats, fits = _newton_minima(
         np.broadcast_to(grid, (len(todo), len(grid))), best, objective
     )
-    for i, profile, c_hat, solve in zip(todo, profiles.T, c_hats.tolist(), solves):
+    for i, profile, c_hat, (rss, a, b, d, rank) in zip(
+        todo, profiles.T, c_hats.tolist(), fits.tolist()
+    ):
         flat = float(profile.max() - profile.min()) <= max(
             1e-6 * float(profile.min()), 1e-12
         )
-        if solve.rank < 3:
+        if rank < 3:
             results[i] = DegenerateDesignError(
                 "degenerate design: distance layout leaves the model underdetermined"
             )
             continue
         results[i] = DispersionFit(
-            a=float(solve.coef[0]),
-            b=float(solve.coef[1]),
-            c=c_hat,
-            d=float(solve.coef[2]),
-            rss_log=solve.rss,
-            n_used=len(x),
-            profile_flat=bool(flat),
+            a=a, b=b, c=c_hat, d=d, rss_log=rss, n_used=len(x), profile_flat=bool(flat)
         )
     return results
 
@@ -270,15 +250,10 @@ def _c_grid(x: np.ndarray, c_interval: tuple[float, float]) -> np.ndarray:
         raise DegenerateDesignError(
             "degenerate design: need at least 4 distinct distances"
         )
-    lo, hi = float(c_interval[0]), float(c_interval[1])
-    if not -math.inf < lo < hi < math.inf:
-        raise UsageError("c interval must have finite ends and positive width")
-    lo = max(lo, _C_FLOOR)
-    if not hi > lo:
-        raise UsageError(f"c interval must extend above {_C_FLOOR}")
     # x**c moves away from 1 with c, the largest x fastest above 1 and
     # slowest below it; where max(x)**c overflows or underflows inside the
     # interval, the search ends at the last c where it is a normal float.
+    lo, hi = max(float(c_interval[0]), _C_FLOOR), float(c_interval[1])
     x_top = float(x.max())
     with np.errstate(over="ignore", under="ignore"):
         if not _is_normal(x_top, lo):

@@ -243,7 +243,7 @@ def _newton_minima(
     its row of ``grid`` (rows, points) with its argmin at ``best``.
     ``objective(points, rows)`` returns, for those rows at those points,
     arrays of the profile's value, slope and curvature and a fourth array
-    of what the caller keeps from a point.
+    (rows, ...) of what the caller keeps from a point.
 
     Newton steps start at the argmin and stay inside the bracket of the
     grid points beside it (the argmin itself at a grid edge): the sign of
@@ -302,7 +302,7 @@ def _newton_minima(
         for kept, value in zip(here, objective(x[move], move)):
             kept[move] = value
     better = here[0] <= start[0]
-    return np.where(better, x, at), np.where(better, here[3], start[3])
+    return np.where(better, x, at), np.where(better, here[3].T, start[3].T).T
 
 
 def _powers(

@@ -31,6 +31,8 @@ from taylorlaw.cli import (
 )
 from taylorlaw.extraction import SCHEME_TAGS
 
+THREE_DISTANCE_CSV = "species,s1,s2,s3\ndistance,0.5,1,2\ndecayer,4,2,1\n"
+ZERO_COUNT_CSV = "species,s1,s2,s3,s4,s5\ndistance,0.5,1,2,4,8\nvanisher,4,2,0,1,0\n"
 SUB_UNIT_LOCATION_CSV = (
     "species,s1,s2,s3,s4,s5\n"
     "distance,0.1,0.2,0.4,0.6,0.9\n"
@@ -847,17 +849,29 @@ class TestHostileInput:
         assert (rc, out) == (2, "")
         assert err == "error: cluster parameters must be positive, sigma at most 1e300\n"
 
+    # A bad interval is a usage error whatever the table holds: here also
+    # one with too few distances for any fit, and one whose only species
+    # has a zero count.
     @pytest.mark.parametrize(
-        "c_high,status,message",
-        [("inf", 1, "c interval must have finite ends and positive width")],
+        "table,args",
+        [
+            pytest.param(
+                LOCATION_CSV,
+                ["--c-high", "inf"],
+                id="inf-1-c interval must have finite ends and positive width",
+            ),
+            pytest.param(THREE_DISTANCE_CSV, ["--c-low", "3", "--c-high", "1"], id="three-empty"),
+            pytest.param(THREE_DISTANCE_CSV, ["--c-high", "nan"], id="three-nan"),
+            pytest.param(ZERO_COUNT_CSV, ["--c-low", "3", "--c-high", "1"], id="zero-empty"),
+            pytest.param(ZERO_COUNT_CSV, ["--c-high", "nan"], id="zero-nan"),
+        ],
     )
-    def test_unbounded_c_interval(self, capsys, tmp_path, c_high, status, message):
+    def test_unbounded_c_interval(self, capsys, tmp_path, table, args):
         path = tmp_path / "loc.csv"
-        path.write_text(LOCATION_CSV)
-        rc, out, err = run_hostile(
-            capsys, ["fit-dispersion", "--input", str(path), "--c-high", c_high]
-        )
-        assert (rc, out, err) == (status, "", f"error: {message}\n")
+        path.write_text(table)
+        rc, out, err = run_hostile(capsys, ["fit-dispersion", "--input", str(path), *args])
+        message = "c interval must have finite ends and positive width"
+        assert (rc, out, err) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("c_high", ["342", "1e308"])
     def test_c_high_past_overflow_ends_the_search(self, capsys, tmp_path, c_high):
