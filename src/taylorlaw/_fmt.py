@@ -9,7 +9,6 @@ comment rule would skip is quoted too, so a report can be read back with
 
 from __future__ import annotations
 
-import io
 import re
 from typing import Iterable, Sequence
 
@@ -36,13 +35,26 @@ def _quote(field: str, first: bool) -> str:
 
 
 def _emit(rows: Iterable[Sequence[str]]) -> str:
-    """CSV text of ``rows``. The quoting regex runs once over a row's joined
-    fields; only a row that it matches, or whose first field reads as a
-    comment, is quoted field by field."""
-    out = io.StringIO()
-    for row in rows:
+    """CSV text of ``rows``. The rows are joined as they stand, and the text
+    is kept when no field can need quoting: it holds no quote and no
+    carriage return, no line of it starts with ``#``, and its commas and
+    line breaks are the rows' own separators. Otherwise each row whose
+    joined fields the quoting regex matches, or whose first field reads as a
+    comment, is joined again with its fields quoted."""
+    rows = list(rows)
+    lines = list(map(",".join, rows))
+    lines.append("")
+    text = "\n".join(lines)
+    if (
+        text.count(",") == sum(map(len, rows)) - len(rows)
+        and text.count("\n") == len(rows)
+        and '"' not in text
+        and "\r" not in text
+        and "\n#" not in text
+        and not text.startswith("#")
+    ):
+        return text
+    for i, row in enumerate(rows):
         if _NEEDS_QUOTES.search("".join(row)) or _is_comment(row[0]):
-            row = [_quote(f, i == 0) for i, f in enumerate(row)]
-        out.write(",".join(row))
-        out.write("\n")
-    return out.getvalue()
+            lines[i] = ",".join([_quote(f, k == 0) for k, f in enumerate(row)])
+    return "\n".join(lines)

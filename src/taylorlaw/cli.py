@@ -21,16 +21,16 @@ runner loads the layers it calls the first time it runs.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
 from itertools import compress
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import _HOMES
 from ._choices import _PER_SUBJECT, EXPERIMENT_KINDS, PCF_FORMS, SCHEME_TAGS, _check_seed
-from ._fmt import _emit, _is_comment, sig12
+from ._fmt import _emit, _is_comment
 from ._records import _Checked
 from .errors import DataError, ParseError, TaylorLawError, UsageError, fresh_copy
 
@@ -242,17 +242,20 @@ def _plain_number(value) -> int | float:
 
 
 def _float_leaf(non_finite: str) -> Callable[[float], str]:
-    """A format's float rule: 12 significant digits, or ``non_finite``."""
-    return lambda x: sig12(x) if math.isfinite(x) else non_finite
+    """A format's float rule: 12 significant digits, or ``non_finite``. For
+    a float, ``"%.12g" % x`` is ``sig12(x)`` without its two calls."""
+    isfinite = math.isfinite
+    return lambda x: "%.12g" % x if isfinite(x) else non_finite
 
 
 # How each format writes a leaf, looked up by its exact type. A report the
 # CLI builds holds no other leaf; any other type goes through _plain_number.
+# A str is written by the C encoder that json.dumps calls for one.
 _JSON_LEAF: dict[type, Callable[..., str]] = {
     float: _float_leaf("null"),
     int: str,
     bool: lambda x: "true" if x else "false",
-    str: json.dumps,
+    str: encode_basestring_ascii,
     type(None): lambda _: "null",
 }
 _CSV_LEAF = {
@@ -264,34 +267,50 @@ _CSV_LEAF = {
 
 
 def _render_json(value, pad: str = "") -> str:
+    # A leaf is written where its container lists it, not by a call of its own.
     kind = type(value)
     if kind is dict:
         inner = pad + "  "
         items = [
-            f"{inner}{json.dumps(str(k))}: {_render_json(v, inner)}"
+            f"{inner}{encode_basestring_ascii(str(k))}: "
+            + (leaf(v) if (leaf := _JSON_LEAF.get(type(v))) else _render_json(v, inner))
             for k, v in value.items()
         ]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}" if items else "{}"
     if kind is list or kind is tuple:
         inner = pad + "  "
-        items = [f"{inner}{_render_json(v, inner)}" for v in value]
+        items = [
+            inner + (leaf(v) if (leaf := _JSON_LEAF.get(type(v))) else _render_json(v, inner))
+            for v in value
+        ]
         return "[\n" + ",\n".join(items) + f"\n{pad}]" if items else "[]"
     leaf = _JSON_LEAF.get(kind)
     return leaf(value) if leaf else _render_json(_plain_number(value))
 
 
 def _flatten(value, prefix: str, rows: list) -> None:
+    # A leaf is written where its container lists it, not by a call of its own.
     kind = type(value)
     if kind is dict:
         if not value:
             rows.append((prefix, ""))
         for k, v in value.items():
-            _flatten(v, f"{prefix}.{k}" if prefix else str(k), rows)
+            path = f"{prefix}.{k}" if prefix else str(k)
+            leaf = _CSV_LEAF.get(type(v))
+            if leaf:
+                rows.append((path, leaf(v)))
+            else:
+                _flatten(v, path, rows)
     elif kind is list or kind is tuple:
         if not value:
             rows.append((prefix, ""))
         for i, v in enumerate(value):
-            _flatten(v, f"{prefix}[{i}]", rows)
+            path = f"{prefix}[{i}]"
+            leaf = _CSV_LEAF.get(type(v))
+            if leaf:
+                rows.append((path, leaf(v)))
+            else:
+                _flatten(v, path, rows)
     else:
         leaf = _CSV_LEAF.get(kind)
         if leaf is None:
@@ -709,21 +728,43 @@ _COMMANDS = {
 COMMANDS = tuple(_COMMANDS)
 
 
+class _CommandParser(_Parser):
+    """One command's parser. Its ``--kind`` and flags are added when it first
+    parses, so a run adds the arguments of the command it runs and no other:
+    each ``add_argument`` builds a help formatter, which asks for the terminal
+    size."""
+
+    def __init__(self, *args, command: _Command, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._command: _Command | None = command
+
+    def parse_known_args(self, args=None, namespace=None):
+        command, self._command = self._command, None
+        if command is not None:
+            if command.kinds:
+                self.add_argument("--kind", required=True, choices=command.kinds)
+            for flag in command.flags:
+                self.add_argument(flag, required=flag in command.required, **_FLAGS[flag])
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser. Every command is registered with its help
+    line, so the top-level help, usage and invalid-choice error list them
+    all; a command's own arguments are added only when it is the one parsed
+    (``_CommandParser``)."""
     parser = _Parser(
         prog="taylorlaw",
         description="Mean-variance power laws, critical densities, and "
         "point-pattern experiments for abundance tables.",
     )
-    subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    subs = parser.add_subparsers(
+        dest="command", required=True, parser_class=_CommandParser
+    )
     for name, command in _COMMANDS.items():
-        sub = subs.add_parser(
-            name, help=command.help, argument_default=argparse.SUPPRESS
+        subs.add_parser(
+            name, help=command.help, argument_default=argparse.SUPPRESS, command=command
         )
-        if command.kinds:
-            sub.add_argument("--kind", required=True, choices=command.kinds)
-        for flag in command.flags:
-            sub.add_argument(flag, required=flag in command.required, **_FLAGS[flag])
     return parser
 
 

@@ -111,14 +111,19 @@ def _grid_profile(
 ) -> np.ndarray:
     """The RSS profiles over ``grid`` of every row of ``log_n``, one column
     per row. One stacked SVD of the grid's designs serves every row
-    (``_factor``), and each row is projected on its own (``_project``), so
-    its profile is the one it has alone.
+    (``_factor``). The sums over the n distances, U^T y and then the squared
+    residuals, run as a loop over the distances on (grid, 3, rows) and
+    (grid, rows) arrays: each step is elementwise and each sum is taken in
+    distance order, so a row's profile is the one it has alone.
     """
-    ut = _factor(x, log_x, grid)[1]
-    rss = np.empty((len(grid), len(log_n)))
-    for j, y in enumerate(log_n):
-        r = _project(ut, y)[1]
-        rss[:, j] = np.einsum("gi,gi->g", r, r)
+    ut = _factor(x, log_x, grid)[1].transpose(2, 0, 1).copy()
+    w = np.zeros((len(grid), 3, len(log_n)))
+    for u, y in zip(ut, log_n.T):
+        w += u[:, :, None] * y
+    rss = np.zeros((len(grid), len(log_n)))
+    for u, y in zip(ut, log_n.T):
+        r = y - (u[:, 0, None] * w[:, 0] + u[:, 1, None] * w[:, 1] + u[:, 2, None] * w[:, 2])
+        rss += r * r
     return rss
 
 

@@ -134,11 +134,23 @@ def _within_limit(what: str, size: float) -> float:
     return size
 
 
-# A cell and the 12 neighbour offsets (ox, oy) > (0, 0) within 2 cells: the
-# other 12 list the same pairs from the far cell.
-_HALF_NEIGHBOURHOOD = [(0, 0), (0, 1), (0, 2)] + [
-    (ox, oy) for ox in (1, 2) for oy in range(-2, 3)
-]
+# Most candidate pairs one block of the close-pair search lists, unless one
+# offset alone has more, and most (offset, point) rows it sets up at once.
+# Between 2**13 and 2**15 the search times alike from 100 to 4000 points;
+# larger blocks leave the cache, and smaller ones pay numpy's per-call cost.
+_BLOCK = 2**14
+
+
+def _half_neighbourhood(reach: int) -> np.ndarray:
+    """The cell offsets (ox, oy) > (0, 0) within ``reach`` cells per axis,
+    after (0, 0): the other half lists the same pairs from the far cell."""
+    return np.array(
+        [(0, oy) for oy in range(reach + 1)]
+        + [(ox, oy) for ox in range(1, reach + 1) for oy in range(-reach, reach + 1)]
+    )
+
+
+_HALF_NEIGHBOURHOODS = {reach: _half_neighbourhood(reach) for reach in (1, 3)}
 
 
 def _torus_gap(u: np.ndarray, size: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -152,19 +164,25 @@ def _close_pairs(pts: np.ndarray, r: float) -> tuple[np.ndarray, ...]:
     """Pairs i < j about ``r`` or less apart, with their exact torus distance.
 
     Linked cells (Allen & Tildesley, *Computer Simulation of Liquids*, 1987):
-    the points are binned into m-by-m periodic cells of side at least r/2,
-    so a close pair lies in one cell or in two cells at most 2 apart per
-    axis. Each offset of the half neighbourhood lists its candidates in one
-    block. With fewer than 5 cells per axis the offsets would alias, so one
-    cell holds every point and every pair is a candidate.
+    the points are sorted into m-by-m periodic cells of side at least r/k,
+    so a close pair lies in one cell or in two cells at most k apart per
+    axis. Cells of side r hold about n r^2 points; from 16 on, cells of side
+    r/3 (k = 3) list far fewer candidates that are not close pairs, which
+    outweighs their 25 offsets against 5. Consecutive offsets of the half
+    neighbourhood share one block while their candidates number at most
+    ``_BLOCK``, so a sparse search lists every offset in one block and a
+    dense one lists each offset on its own. With fewer than 2k + 1 cells per
+    axis the offsets would alias, so one cell holds every point and every
+    pair is a candidate.
     """
     # The widening keeps rounding from losing a pair at the edge.
     r = r * (1 + 1e-9)
     n = len(pts)
+    reach = 1 if n * r * r < 16 else 3
     # The cells are sized for a slightly larger radius still, which covers
     # the rounding of x * m, and there are at most about 4n of them.
-    m = int(min(2.0 / (r * (1 + 1e-9)), math.isqrt(4 * n)))
-    m = m if m >= 5 else 1
+    m = int(min(reach / (r * (1 + 1e-9)), math.isqrt(4 * n)))
+    m = m if m >= 2 * reach + 1 else 1
     # x < 1 keeps x * m below m.
     cx = (pts[:, 0] * m).astype(np.int64)
     cy = (pts[:, 1] * m).astype(np.int64)
@@ -177,27 +195,43 @@ def _close_pairs(pts: np.ndarray, r: float) -> tuple[np.ndarray, ...]:
     # Squared distances prefilter the candidates; the floor keeps a radius
     # whose square is subnormal from losing a pair to rounding.
     r2 = max(r * r * (1 + 1e-9), 2.0**-1000)
+    offsets = _HALF_NEIGHBOURHOODS[reach] if m > 1 else _HALF_NEIGHBOURHOODS[reach][:1]
     found = []
     listed = 0
-    for ox, oy in _HALF_NEIGHBOURHOOD if m > 1 else _HALF_NEIGHBOURHOOD[:1]:
+    per_chunk = max(1, _BLOCK // max(n, 1))
+    for c in range(0, len(offsets), per_chunk):
+        # One row per offset: each point's neighbour cell, where its
+        # candidates start in the sorted order, and how many there are.
+        ox, oy = offsets[c : c + per_chunk, :, None].transpose(1, 0, 2)
         nb = (cx + ox) % m * m + (cy + oy) % m
-        if ox == oy == 0:  # the later points of the same cell
-            first = here + 1
-            size = starts[nb] + counts[nb] - first
-        else:
-            first = starts[nb]
-            size = counts[nb]
-        # Count before listing: a dense pattern's candidates can outgrow memory.
-        total = _within_limit("candidate close pairs", int(size.sum()))
-        a = np.repeat(here, size)
-        b = np.arange(total) + np.repeat(first - (np.cumsum(size) - size), size)
-        dx, dy = _torus_gap(x, size, b), _torus_gap(y, size, b)
-        near = np.flatnonzero(dx * dx + dy * dy <= r2)
-        d = np.hypot(dx[near], dy[near])
-        close = d <= r
-        a, b = order[a[near[close]]], order[b[near[close]]]
-        listed = _within_limit("close pairs", listed + len(a))
-        found.append((np.minimum(a, b), np.maximum(a, b), d[close]))
+        first, size = starts[nb], counts[nb]
+        if c == 0:  # the later points of the same cell
+            size[0] += first[0] - here - 1
+            first[0] = here + 1
+        totals = size.sum(axis=1).tolist()
+        j = 0
+        while j < len(totals):
+            k, total = j + 1, totals[j]
+            while k < len(totals) and total + totals[k] <= _BLOCK:
+                total += totals[k]
+                k += 1
+            # Count before listing: a dense pattern's candidates can outgrow memory.
+            _within_limit("candidate close pairs", total)
+            # A block's candidates run point by point, each point's offsets
+            # in turn.
+            block = size[j:k].ravel(order="F")
+            per_point = size[j:k].sum(axis=0)
+            skip = first[j:k].ravel(order="F") - (np.cumsum(block) - block)
+            b = np.arange(total) + np.repeat(skip, block)
+            dx, dy = _torus_gap(x, per_point, b), _torus_gap(y, per_point, b)
+            near = np.flatnonzero(dx * dx + dy * dy <= r2)
+            d = np.hypot(dx[near], dy[near])
+            keep = d <= r
+            close = near[keep]
+            a, b = order[np.repeat(here, per_point)[close]], order[b[close]]
+            listed = _within_limit("close pairs", listed + len(a))
+            found.append((np.minimum(a, b), np.maximum(a, b), d[keep]))
+            j = k
     return tuple(np.concatenate(part) for part in zip(*found))
 
 

@@ -27,6 +27,7 @@ from taylorlaw import (
     simulate_thomas,
     taylor_experiment,
 )
+from taylorlaw import pointprocess
 from taylorlaw.pointprocess import _close_pairs
 from conftest import pairwise_torus_distances, same_fields, torus_distance
 
@@ -165,6 +166,24 @@ class TestClosePairs:
         if grid:  # ties: many pairs share a distance
             points = np.floor(points * grid) / grid
         assert_close_pairs_match_oracle(points, r)
+
+    @pytest.mark.parametrize("r", [0.05, 0.3])
+    def test_blocks_of_the_module_budget(self, r):
+        # 1500 points: at r = 0.05 the 5 offsets share 2 blocks; at r = 0.3
+        # each of the 24 offsets besides the cell's own has alone about
+        # 27,700 candidates, above the budget of 16,384.
+        points = np.random.default_rng(5).random((1500, 2))
+        assert assert_close_pairs_match_oracle(points, r) > 0
+
+    @pytest.mark.parametrize("block", [1, 7, 300, 5000])
+    @pytest.mark.parametrize("r", [0.03, 0.2])
+    def test_offsets_split_into_budgeted_blocks(self, monkeypatch, block, r):
+        # A budget of 1 leaves every offset alone in a block above it; the
+        # others split the offsets at other edges, and a budget below n
+        # sets up the per-point rows a few offsets at a time.
+        monkeypatch.setattr(pointprocess, "_BLOCK", block)
+        points = np.vstack([lattice(10), np.random.default_rng(5).random((600, 2))])
+        assert assert_close_pairs_match_oracle(points, r) > 0
 
     def test_refuses_before_listing(self):
         # 4500 coincident points: 10,122,750 candidates in one block.

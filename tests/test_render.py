@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from taylorlaw._fmt import sig12
@@ -88,6 +88,19 @@ def _csv_rows(value, path=""):
 @given(tree=_TREES)
 def test_json_reads_back_as_the_tree(tree):
     assert _same(json.loads(render_report(tree, "json")), _as_json(tree))
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.text(), leaf=st.text())
+@example(key="é", leaf="é")
+@example(key="\u2028", leaf="\u2028")
+@example(key="\x00", leaf="\x00")
+@example(key='"', leaf='"')
+@example(key="\\", leaf="\\")
+def test_json_strings_are_the_bytes_json_dumps_gives(key, leaf):
+    # Reading the report back cannot see how a string was escaped.
+    want = "{\n  " + json.dumps(key) + ": " + json.dumps(leaf) + "\n}\n"
+    assert render_report({key: leaf}, "json") == want
 
 
 @settings(max_examples=300, deadline=None)
