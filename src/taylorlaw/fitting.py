@@ -14,11 +14,12 @@ Both fits work on blocks of series of one length (see ``extraction``):
 block in grouped numpy passes at their first call and keep every row's
 result, or its data error, on the block; a series built on its own is a
 block of one row. Each row is computed as a lone 1-D series is: its sums
-run along the row (pairwise, or one BLAS dot or matrix-vector product
-per row), and its powers m^b come from one kernel (``_powers``) that
-never lets numpy take its single-exponent loop, whose m^2, m^0.5 and
-m^-1 round differently. So a row's fit has the same bits in a block as
-alone.
+run along the row (pairwise, or one ``np.einsum("...i,...i->...")``
+per dot product, never a BLAS or LAPACK call, whose sums change with the
+CPU kernel the library picks), and its powers m^b come from one kernel
+(``_powers``) that never lets numpy take its single-exponent loop, whose
+m^2, m^0.5 and m^-1 round differently. So a row's fit has the same bits
+in a block as alone, and under every BLAS kernel.
 """
 
 from __future__ import annotations
@@ -119,12 +120,6 @@ def _grouped(
     return results
 
 
-def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x[i] @ y[i] for each row of two C-contiguous (rows, n) arrays: one
-    BLAS dot per row, the same sum a lone 1-D ``@`` makes."""
-    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
-
-
 def _block_fit(series: MVSeries, fit_rows, *args) -> PowerLawFit:
     """Row ``series._row`` of ``fit_rows(means, variances, *args)`` over the
     series' block. The block keeps every row's result, so the first fit of
@@ -153,16 +148,16 @@ class _OlsLine(NamedTuple):
 
 def _ols_lines(x: np.ndarray, y: np.ndarray) -> list[_OlsLine]:
     """Ordinary least squares of y on x in each row of two (rows, n) arrays;
-    no row of x may be constant. Each row is summed along its own length
-    and its RSS is one BLAS dot, as for a lone 1-D row, so a row's line
-    does not depend on the rows beside it."""
+    no row of x may be constant. Each row is summed along its own length,
+    its RSS by one einsum, so a row's line does not depend on the rows
+    beside it."""
     xbar, ybar = x.mean(axis=1), y.mean(axis=1)
     dx, dy = x - xbar[:, None], y - ybar[:, None]
     sxx = np.sum(dx**2, axis=1)
     slope = np.sum(dx * dy, axis=1) / sxx
     intercept = ybar - slope * xbar
     resid = y - (intercept[:, None] + slope[:, None] * x)
-    rss = _row_dots(resid, resid)
+    rss = np.einsum("...i,...i->...", resid, resid)
     tss = np.sum(dy**2, axis=1)
     return [
         _OlsLine(b, c, r, 1.0 if t == 0.0 else _clamp_unit(1.0 - r / t), xb, sx)
@@ -310,15 +305,16 @@ def _powers(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """p = m^b (rows, k, n) at each exponent of each row of ``b`` (rows, k),
     for the rows of ``m`` and ``v`` (rows, n), with sum(p^2) and the exact
-    a = sum(v p) / sum(p^2) for that b (rows, k). The exponents are written
-    into the output first, so every call runs numpy's loop for an array of
-    exponents: given one exponent, numpy runs another loop, whose m^2,
-    m^0.5 and m^-1 can round differently. Call under ``np.errstate``."""
+    a = sum(v p) / sum(p^2) for that b (rows, k), both sums by einsum. The
+    exponents are written into the output first, so every call runs
+    numpy's loop for an array of exponents: given one exponent, numpy runs
+    another loop, whose m^2, m^0.5 and m^-1 can round differently. Call
+    under ``np.errstate``."""
     p = np.empty((*b.shape, m.shape[1]))
     p[...] = b[:, :, None]
     np.power(m[:, None, :], p, out=p)
     s2 = np.einsum("...i,...i->...", p, p)
-    return p, s2, np.matmul(p, v[:, :, None])[..., 0] / s2
+    return p, s2, np.einsum("...i,...i->...", p, v[:, None, :]) / s2
 
 
 def _grid_scan(
@@ -357,25 +353,25 @@ def _raw_objective(
 
     R is a one-point ``_grid_scan``'s minimum bit for bit, and a row's
     values do not depend on the rows evaluated with it. On the 161-point
-    grid the a of each row is summed by one matrix-vector product, so the
-    grid's R at a point can differ from this R in the last bits. With
-    p = m^b, r = v - a p and w = p (ln m - l), where l = sum(p^2 ln m) /
-    sum(p^2) makes w orthogonal to p, R' = -2a r.w is the variable
-    projection gradient, and R'' = 2a^2 w.w - 2a sum(r w (ln m - l))
-    - 2 (r.w)^2 / sum(p^2). As r is orthogonal to p, these equal the
-    plain forms in p ln m, but they do not cancel where one pair's p
-    dwarfs the rest. Where R is not finite it is inf and the derivatives
-    are NaN.
+    grid each a is summed against v broadcast across the grid points, an
+    einsum over other strides, so the grid's R at a point can differ from
+    this R in the last bits. With p = m^b, r = v - a p and w = p (ln m - l),
+    where l = sum(p^2 ln m) / sum(p^2) makes w orthogonal to p,
+    R' = -2a r.w is the variable projection gradient, and
+    R'' = 2a^2 w.w - 2a sum(r w (ln m - l)) - 2 (r.w)^2 / sum(p^2). As r
+    is orthogonal to p, these equal the plain forms in p ln m, but they do
+    not cancel where one pair's p dwarfs the rest. Where R is not finite it
+    is inf and the derivatives are NaN.
     """
     p, s2, a = (value[:, 0] for value in _powers(b[:, None], m, v))
     r = v - a[:, None] * p
     rss = np.einsum("...i,...i->...", r, r)
-    d = log_m - (_row_dots(p, p * log_m) / s2)[:, None]
+    d = log_m - (np.einsum("...i,...i->...", p, p * log_m) / s2)[:, None]
     w = p * d
-    rw = _row_dots(r, w)
-    curvature = (
-        2.0 * a * (a * _row_dots(w, w) - _row_dots(r, w * d)) - 2.0 * rw * rw / s2
-    )
+    rw = np.einsum("...i,...i->...", r, w)
+    ww = np.einsum("...i,...i->...", w, w)
+    rwd = np.einsum("...i,...i->...", r, w * d)
+    curvature = 2.0 * a * (a * ww - rwd) - 2.0 * rw * rw / s2
     finite = np.isfinite(rss)
     return (
         np.where(finite, rss, np.inf),
@@ -434,22 +430,18 @@ def _nls_fits(m: np.ndarray, v: np.ndarray, b0: np.ndarray, width: int) -> list:
             ~flat,
         )
         converged = (grid[:, 0] < b) & (b < grid[:, -1]) & ~flat
-        model = a[:, None] * _powers(b[:, None], m, v)[0][:, 0]
-        resid = v - model
-        rss = _row_dots(resid, resid)
-        # A row that ends in an error stays out of the stacked inverse: its
-        # singular J'J would send every row to the one-at-a-time fallback.
-        fits = ~overflow & (0.0 < a) & (a < math.inf)
-        jac = np.stack([model / a[:, None], model * log_m], axis=-1)
-        se = np.zeros((len(m), 2))
-        se[fits] = _standard_errors(jac[fits], rss[fits] / (n - 2))
+        p, s2, _ = (value[:, 0] for value in _powers(b[:, None], m, v))
+        resid = v - a[:, None] * p
+        rss = np.einsum("...i,...i->...", resid, resid)
+        se_a, se_b = _standard_errors(p, s2, a, log_m, rss / (n - 2))
         tss = np.sum((v - v.mean(axis=1, keepdims=True)) ** 2, axis=1)
     results: list = []
-    for overflow_i, a_i, b_i, (se_a, se_b), rss_i, tss_i, converged_i in zip(
+    for overflow_i, a_i, b_i, se_a_i, se_b_i, rss_i, tss_i, converged_i in zip(
         overflow.tolist(),
         a.tolist(),
         b.tolist(),
-        se.tolist(),
+        se_a.tolist(),
+        se_b.tolist(),
         rss.tolist(),
         tss.tolist(),
         converged.tolist(),
@@ -466,8 +458,8 @@ def _nls_fits(m: np.ndarray, v: np.ndarray, b0: np.ndarray, width: int) -> list:
             fit = PowerLawFit(
                 a=a_i,
                 b=b_i,
-                se_ln_a=se_a / a_i,
-                se_b=se_b,
+                se_ln_a=se_a_i / a_i,
+                se_b=se_b_i,
                 r_squared=1.0 if tss_i == 0.0 else _clamp_unit(1.0 - rss_i / tss_i),
                 n_used=n,
                 n_dropped=width - n,
@@ -479,20 +471,19 @@ def _nls_fits(m: np.ndarray, v: np.ndarray, b0: np.ndarray, width: int) -> list:
     return results
 
 
-def _standard_errors(jac: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
-    """(se_a, se_b) of each row from its (n, 2) Jacobian: the square roots
-    of the diagonal of sigma2 (J'J)^-1, negative variances read as 0. A
-    singular J'J gives (0, 0); the rows are then inverted one at a time,
-    as one singular matrix fails the whole stack."""
-    gram = np.matmul(jac.transpose(0, 2, 1), jac)
-    try:
-        cov = sigma2[:, None, None] * np.linalg.inv(gram)
-    except np.linalg.LinAlgError:
-        cov = np.zeros_like(gram)
-        for i, matrix in enumerate(gram):
-            try:
-                cov[i] = sigma2[i] * np.linalg.inv(matrix)
-            except np.linalg.LinAlgError:
-                pass
-    variances = cov[:, [0, 1], [0, 1]]
-    return np.sqrt(np.where(variances < 0.0, 0.0, variances))
+def _standard_errors(
+    p: np.ndarray, s2: np.ndarray, a: np.ndarray, log_m: np.ndarray, sigma2: np.ndarray
+) -> np.ndarray:
+    """(se_a, se_b), (2, rows): the square roots of the diagonal of
+    sigma2 (J'J)^-1 for the Jacobian J = [p, a p ln m] of a m^b at p = m^b,
+    in closed form about l = sum(p^2 ln m) / sum(p^2), as ``_log_ols_fit``
+    centres on the mean of ln m: with d = ln m - l, var_b =
+    sigma2 / (a^2 sum((p d)^2)) and var_a = sigma2 (1/sum(p^2) +
+    l^2 / sum((p d)^2)). A row whose ln m are all equal, or whose
+    sum((p d)^2) is not positive, gets (0, 0). Call under ``np.errstate``."""
+    l = np.einsum("...i,...i->...", p, p * log_m) / s2
+    pd = p * (log_m - l[:, None])
+    spd = np.einsum("...i,...i->...", pd, pd)
+    variances = np.array([sigma2 * (1.0 / s2 + l * l / spd), sigma2 / (a * a * spd)])
+    identified = (spd > 0.0) & ~(log_m == log_m[:, :1]).all(axis=1)
+    return np.sqrt(np.where(identified, variances, 0.0))

@@ -9,6 +9,8 @@ independent check on the hand-rolled minimizer.
 """
 
 import math
+import subprocess
+import sys
 from unittest import mock
 
 import mpmath as mp
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import exact_series
+from conftest import child_env, exact_series
 from taylorlaw import (
     Classification,
     DegenerateDesignError,
@@ -369,6 +371,33 @@ class TestNls:
         assert fit.a * fit.se_ln_a == pytest.approx(ref_se[0], rel=1e-3)
         assert fit.se_b == pytest.approx(ref_se[1], rel=1e-3)
 
+    def test_equal_means_give_zero_standard_errors(self):
+        # The profile over b is flat and J'J singular: (0, 0), never
+        # rounding noise, which the slope test would read as a real error.
+        rng = np.random.default_rng(20261021)
+        for case in range(1000):
+            k = int(rng.integers(3, 9))
+            ms = np.full(k, np.exp(rng.uniform(-5.0, 8.0)))
+            vs = rng.lognormal(rng.uniform(-3.0, 8.0), rng.uniform(0.0, 2.0), k)
+            vs[1:][rng.random(k - 1) < 0.2] = 0.0  # one positive v keeps a > 0
+            fit = fit_nls(series_of(*zip(ms.tolist(), vs.tolist())))
+            assert (fit.se_ln_a, fit.se_b) == (0.0, 0.0), case
+
+    def test_standard_errors_match_the_inverse_of_jtj(self):
+        # Oracle: sigma^2 (J'J)^-1 by LAPACK, J = [m^b, a m^b ln m].
+        rng = np.random.default_rng(20261022)
+        for case in range(200):
+            k = int(rng.integers(3, 13))
+            ms = np.exp(rng.uniform(-2.0, 5.0, k))
+            vs = 1.7 * ms ** rng.uniform(0.5, 2.5) * rng.lognormal(0.0, 0.5, k)
+            fit = fit_nls(series_of(*zip(ms.tolist(), vs.tolist())))
+            p = ms**fit.b
+            jac = np.column_stack([p, fit.a * p * np.log(ms)])
+            cov = fit.rss_raw / (k - 2) * np.linalg.inv(jac.T @ jac)
+            se_a, se_b = np.sqrt(np.diag(cov))
+            assert fit.a * fit.se_ln_a == pytest.approx(se_a, rel=1e-8), case
+            assert fit.se_b == pytest.approx(se_b, rel=1e-8), case
+
 
 def brute_force_nls_scan(series, points=20001):
     """The raw-space RSS at ``points`` exponents over the bracket fit_nls
@@ -501,6 +530,57 @@ class TestNlsGoldenObjective:
                 alone = _raw_objective(bs[one], m[one], v[one], np.log(m[one]))
             for got, expected in zip(alone, block):
                 assert got[0].tobytes() == expected[row].tobytes(), exponent
+
+
+def openblas_kernels() -> list[str | None]:
+    """The ``OPENBLAS_CORETYPE`` values to compare on this machine, None (the
+    kernel OpenBLAS picks) first. Skips unless numpy links OpenBLAS on
+    x86-64."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 only prints its build
+        pytest.skip("numpy does not report its build as a dict")
+    blas = config["Build Dependencies"]["blas"]["name"]
+    cpu = config["Machine Information"]["host"]["cpu"]
+    if "openblas" not in blas or cpu != "x86_64":
+        pytest.skip(f"numpy links {blas} on {cpu}, not OpenBLAS on x86_64")
+    simd = config["SIMD Extensions"]
+    features = {*simd["baseline"], *simd.get("found", [])}
+    # Haswell's kernels need AVX2 and FMA, the set numpy 2.4 calls X86_V3.
+    haswell = "X86_V3" in features or {"AVX2", "FMA3"} <= features
+    return [None, *(["Haswell"] if haswell else []), "Prescott"]
+
+
+def test_nls_reports_do_not_depend_on_the_blas_kernel(tmp_path):
+    # Sums taken by BLAS change their last bits with the kernel OpenBLAS
+    # runs, and se_b, t and p print 12 digits.
+    kernels = openblas_kernels()
+    rng = np.random.default_rng(20261023)
+    subjects, times, species = 10, 6, 20
+    means = (
+        rng.lognormal(0.0, 0.4, (subjects, 1, 1))
+        * rng.lognormal(0.0, 0.3, (subjects, times, 1))
+        * rng.lognormal(2.5, 0.8, (subjects, 1, species))
+    )
+    counts = rng.negative_binomial(3.0, 3.0 / (3.0 + means))
+    lines = ["subject_id,time," + ",".join(f"sp{j}" for j in range(species))]
+    for i in range(subjects):
+        for t in range(times):
+            lines.append(f"u{i},{t}," + ",".join(map(str, counts[i, t].tolist())))
+    table = tmp_path / "counts.csv"
+    table.write_text("\n".join(lines) + "\n")
+    argv = [sys.executable, "-m", "taylorlaw", "fit-taylor", "--input", str(table)]
+    argv += ["--scheme", "per_subject_species", "--subject", "all", "--method", "nls"]
+    argv += ["--format", "csv"]
+    outputs = {}
+    for kernel in kernels:
+        env = child_env()
+        env.pop("OPENBLAS_CORETYPE", None)
+        if kernel is not None:
+            env["OPENBLAS_CORETYPE"] = kernel
+        outputs[kernel] = subprocess.run(argv, env=env, capture_output=True, check=True).stdout
+    differing = [kernel for kernel in kernels if outputs[kernel] != outputs[None]]
+    assert not differing, f"{differing} print other bytes than the default kernel"
 
 
 class TestCrossoverDensity:
