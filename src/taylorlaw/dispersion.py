@@ -2,11 +2,11 @@
 
 A decay law ln N = a + b*x^c + d*ln x is fitted to (distance, abundance)
 data by profiling the inner exponent c, with the remaining parameters
-solved exactly by linear least squares at each candidate c. One solver
-does every solve: a stacked SVD of the designs at a vector of c values
-(``_factor``). It factors a grid of c once per distance row, so once for a
-whole location table, then each Newton step, with a Gauss-Newton
-curvature, for every species still stepping.
+solved exactly by linear least squares at each candidate c. The columns
+1 and ln x do not change with c, so only x^c is projected off their fixed
+basis, for the c grid and each Newton step alike. Every sum runs over the
+distances in order, so a species' fit does not depend on the species
+beside it, the BLAS kernel or the thread count.
 
 The c profile over a bounded interval can be flat in two well-known ways:
 as c -> 0 the b*x^c term collapses into the intercept, and data that is an
@@ -68,63 +68,18 @@ class DispersionFit(_Checked, _DispersionFitFields):
             raise ValueError("rss_log must be non-negative")
 
 
-def _factor(
-    x: np.ndarray, log_x: np.ndarray, cs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The designs [1, x^c, ln x] at each c of ``cs`` (k,), factored by one
-    stacked SVD, as lstsq with rcond=None would: singular values at or
-    below eps*max(n, 3)*s_max count as zero. Returns x^c (k, n), then U^T
-    (k, 3, n) and V/s (k, 3, 3) with the dropped columns zeroed, and the
-    rank (k,). The exponents are written into the design first, as in
-    ``fitting._powers``, so x^c rounds alike for every shape of ``cs``.
-    """
-    n = len(x)
-    design = np.empty((len(cs), n, 3))
-    design[:, :, 0] = 1.0
-    design[:, :, 1] = cs[:, None]
-    design[:, :, 2] = log_x
-    power = np.power(x, design[:, :, 1], out=design[:, :, 1])
-    u, s, vt = np.linalg.svd(design, full_matrices=False)
-    keep = s > np.finfo(float).eps * max(n, 3) * s[:, :1]
-    ut = (u * keep[:, None, :]).transpose(0, 2, 1).copy()
-    vs = vt.transpose(0, 2, 1) / np.where(keep, s, np.inf)[:, None, :]
-    return power, ut, vs, keep.sum(axis=1)
+def _dot(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """sum(p * q) over the last axis, the distances, one elementwise step
+    per distance in distance order. So a row's sum does not depend on the
+    rows broadcast beside it, on the BLAS kernel or on the thread count."""
+    return sum(p[..., i] * q[..., i] for i in range(p.shape[-1]))
 
 
-def _project(ut: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """U^T y and the residual y - U U^T y of each y (..., n), with ``ut``
-    (..., 3, n) from ``_factor``. Every product is elementwise and summed
-    over a fixed axis, so a row's result does not depend on the rows
-    stacked with it, as a stacked matmul's can.
-    """
-    w = (ut * y[..., None, :]).sum(axis=-1)
-    fitted = (
-        ut[..., 0, :] * w[..., 0, None]
-        + ut[..., 1, :] * w[..., 1, None]
-        + ut[..., 2, :] * w[..., 2, None]
-    )
-    return w, y - fitted
-
-
-def _grid_profile(
-    log_x: np.ndarray, x: np.ndarray, log_n: np.ndarray, grid: np.ndarray
-) -> np.ndarray:
-    """The RSS profiles over ``grid`` of every row of ``log_n``, one column
-    per row. One stacked SVD of the grid's designs serves every row
-    (``_factor``). The sums over the n distances, U^T y and then the squared
-    residuals, run as a loop over the distances on (grid, 3, rows) and
-    (grid, rows) arrays: each step is elementwise and each sum is taken in
-    distance order, so a row's profile is the one it has alone.
-    """
-    ut = _factor(x, log_x, grid)[1].transpose(2, 0, 1).copy()
-    w = np.zeros((len(grid), 3, len(log_n)))
-    for u, y in zip(ut, log_n.T):
-        w += u[:, :, None] * y
-    rss = np.zeros((len(grid), len(log_n)))
-    for u, y in zip(ut, log_n.T):
-        r = y - (u[:, 0, None] * w[:, 0] + u[:, 1, None] * w[:, 1] + u[:, 2, None] * w[:, 2])
-        rss += r * r
-    return rss
+def _off(q: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """v (..., n) less its projection on the orthonormal rows of ``q``
+    (2, n), and the projection's coefficients (2, ...)."""
+    w = np.stack([_dot(q[0], v), _dot(q[1], v)])
+    return v - w[0, ..., None] * q[0] - w[1, ..., None] * q[1], w
 
 
 def _is_normal(x_top: float, c: float) -> bool:
@@ -162,9 +117,10 @@ def fit_dispersion_table(
     Each row gets the fit ``fit_dispersion`` gives it, or in its place the
     data error that it raises. A bad ``c_interval`` raises ``UsageError``
     whatever the table holds. The distance row is checked, and the 161
-    designs of the c grid are factored, once for the whole table
-    (``_grid_profile``); each Newton step factors the designs of every
-    species still stepping together.
+    columns x^c of the c grid are projected off its basis of [1, ln x],
+    once for the whole table; each Newton step solves every species still
+    stepping together. A design below rank 3 at the fitted c (see
+    ``solve``) gives ``DegenerateDesignError``.
     """
     x = np.asarray(xs, dtype=float)
     ns = np.asarray(counts, dtype=float)
@@ -195,49 +151,88 @@ def fit_dispersion_table(
             results[i] = error
         return results
 
-    log_x = np.log(x)
-    log_n = np.log(ns[todo])
-    profiles = _grid_profile(log_x, x, log_n, grid)
-    best = profiles.argmin(axis=0)
+    # The orthonormal basis q of [1, ln x]: 1/sqrt(n), and ln x less its
+    # mean, divided by that vector's norm. Each species' ln N is taken off
+    # it once, leaving r0.
+    n, log_x = len(x), np.log(x)
+    mean = float(log_x.mean())
+    norm = math.sqrt(_dot(log_x - mean, log_x - mean))
+    q = np.stack([np.full(n, n**-0.5), (log_x - mean) / norm])
+    r0, alpha = _off(q, np.log(ns[todo]))
+    log_top = float(np.abs(log_x).max())
 
-    def objective(cs: np.ndarray, rows) -> tuple:
-        # Kaufman's variable projection (BIT 15:49, 1975): with z = x^c ln x
-        # the RSS has slope -2b r.z and Gauss-Newton curvature 2b^2 |Pz|^2 in
-        # c, P projecting onto the complement of the design's columns. The
-        # right-hand side z/max(x^c) gives Pz; as r is orthogonal to the
-        # columns, r.z = r.Pz. The scaling keeps z finite where max(x)^c
-        # nears the largest float, while b*max(x^c) stays finite.
-        power, ut, vs, rank = _factor(x, log_x, cs)
-        top = power.max(axis=1)
-        y = np.stack([log_n[rows], power / top[:, None] * log_x], axis=1)
-        w, resid = _project(ut[:, None], y)
-        r, pz = resid[:, 0], resid[:, 1]
-        coef = (vs * w[:, None, 0]).sum(axis=-1)
-        b_top = coef[:, 1] * top
-        rss = np.einsum("ki,ki->k", r, r)
-        return (
-            rss,
-            -2.0 * b_top * np.einsum("ki,ki->k", r, pz),
-            2.0 * b_top * b_top * np.einsum("ki,ki->k", pz, pz),
-            np.column_stack([rss, coef, rank]),
-        )
+    def lines(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # The coefficients of 1 and of ln x in w[0] q[0] + w[1] q[1].
+        return w[0] * q[0, 0] - w[1] / norm * mean, w[1] / norm
 
+    def solve(cs: np.ndarray, r0: np.ndarray, alpha: np.ndarray | None = None) -> tuple:
+        """The fit at each c of ``cs`` of ln N = alpha.q + r0, broadcast
+        against cs: x^c, scaled to a largest value of 1 (s), is projected
+        off q twice ("twice is enough", Giraud, Langou & Rozloznik 2005),
+        leaving u; b_s = r0.u / u.u, b = b_s / max(x^c), and a + d ln x
+        is the basis part of ln N - b_s s. The design is below rank 3, and
+        b_s 0, where with each column divided by its largest magnitude its
+        condition number reaches 1/(eps*max(n, 3)), numpy's least-squares
+        cut: its largest singular value is at most its Frobenius norm F,
+        its smallest |u|/|v| to rounding, with v 1 at s and minus the
+        coefficients of s - u on the other two columns. The exponents are
+        written into s first, as in ``fitting._powers``, so x^c rounds
+        alike for every shape of ``cs``. Returns the RSS and the rank-3
+        mask, or given ``alpha``, the RSS, its slope and Gauss-Newton
+        curvature in c, and the columns RSS, a, b, d and rank-3 mask.
+        """
+        s = np.empty((*cs.shape, n))
+        s[...] = cs[..., None]
+        np.power(x, s, out=s)
+        top = s.max(axis=-1)
+        s /= top[..., None]
+        u, beta = _off(q, s)
+        u, again = _off(q, u)
+        beta += again
+        uu = _dot(u, u)
+        one, slope = lines(beta)
+        f2 = n + _dot(log_x, log_x) / log_top**2 + _dot(s, s)
+        v2 = 1 + one * one + (slope * log_top) ** 2
+        full = uu > (np.finfo(float).eps * max(n, 3)) ** 2 * f2 * v2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            b_s = np.where(full, _dot(r0, u) / uu, 0.0)
+            r = r0 - b_s[..., None] * u
+            rss = _dot(r, r)
+            if alpha is None:
+                return rss, full
+            # Kaufman's variable projection (BIT 15:49, 1975): with
+            # z = x^c ln x the RSS has slope -2b r.z and Gauss-Newton
+            # curvature 2b^2 |Pz|^2 in c, P projecting off the design's
+            # columns. In the scaled column b z is b_s s ln x, finite where
+            # max(x)^c nears the largest float; as r is orthogonal to the
+            # columns, r.z = r.Pz.
+            pz = _off(q, s * log_x)[0]
+            pz -= np.where(full, _dot(pz, u) / uu, 0.0)[..., None] * u
+        a, d = lines(alpha - b_s * beta)
+        fit = np.column_stack([rss, a, b_s / top, d, full])
+        return rss, -2.0 * b_s * _dot(r, pz), 2.0 * b_s * b_s * _dot(pz, pz), fit
+
+    profiles, full = solve(grid[:, None], r0)
     c_hats, fits = _newton_minima(
-        np.broadcast_to(grid, (len(todo), len(grid))), best, objective
+        np.broadcast_to(grid, (len(todo), len(grid))),
+        # A full-rank point fits at least as well as one below rank 3; its
+        # RSS can be larger by rounding alone.
+        np.where(full, profiles, np.inf).argmin(axis=0),
+        lambda cs, rows: solve(cs, r0[rows], alpha[:, rows]),
     )
-    for i, profile, c_hat, (rss, a, b, d, rank) in zip(
+    for i, profile, c_hat, (rss, a, b, d, full) in zip(
         todo, profiles.T, c_hats.tolist(), fits.tolist()
     ):
         flat = float(profile.max() - profile.min()) <= max(
             1e-6 * float(profile.min()), 1e-12
         )
-        if rank < 3:
+        if not full:
             results[i] = DegenerateDesignError(
                 "degenerate design: distance layout leaves the model underdetermined"
             )
             continue
         results[i] = DispersionFit(
-            a=a, b=b, c=c_hat, d=d, rss_log=rss, n_used=len(x), profile_flat=bool(flat)
+            a=a, b=b, c=c_hat, d=d, rss_log=rss, n_used=n, profile_flat=bool(flat)
         )
     return results
 
@@ -279,7 +274,8 @@ def fit_dispersion(
     locates the best bracket, then Newton steps with Kaufman's
     Gauss-Newton curvature pin the minimizer (``_newton_minima``);
     (a, b, d) are always the exact linear least-squares solution at the
-    current c. This is ``fit_dispersion_table`` for one species.
+    current c. This is ``fit_dispersion_table`` for one species, bit for
+    bit.
     """
     if len(xs) != len(ns):
         raise UsageError(

@@ -8,9 +8,11 @@ dual-route idea backs the nonlinear fit: scipy's curve_fit serves as an
 independent check on the hand-rolled minimizer.
 """
 
+import ast
 import math
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import mpmath as mp
@@ -572,6 +574,40 @@ def test_nls_reports_do_not_depend_on_the_blas_kernel(tmp_path):
     argv = [sys.executable, "-m", "taylorlaw", "fit-taylor", "--input", str(table)]
     argv += ["--scheme", "per_subject_species", "--subject", "all", "--method", "nls"]
     argv += ["--format", "csv"]
+    assert_same_stdout_under(kernels, argv)
+
+
+def test_dispersion_reports_do_not_depend_on_the_blas_kernel(tmp_path):
+    # A profile flat to rounding picks its grid argmin by rounding alone, so
+    # a sum taken by BLAS would move the flat species' c by whole grid steps.
+    kernels = openblas_kernels()
+    table = tmp_path / "mixed.csv"
+    table.write_text(
+        "species,s1,s2,s3,s4,s5\ndistance,0.5,1,2,4,8\n"
+        "decayer,120,60,25,9,2\nvanisher,4,2,0,1,0\nflat,5,5,5,5,5\n"
+    )
+    argv = [sys.executable, "-m", "taylorlaw", "fit-dispersion", "--input", str(table)]
+    assert_same_stdout_under(kernels, argv)
+
+
+def test_no_source_file_calls_blas_or_lapack():
+    # The kernel tests skip off OpenBLAS on x86-64. numpy hands each of these
+    # to BLAS or LAPACK, so none of them may come back into the package.
+    for path in sorted(Path(fitting.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        for word in ("linalg", "matmul", "tensordot", ".dot(", "vdot"):
+            assert word not in text, f"{path.name} contains {word}"
+        products = [
+            node.lineno
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+        ]
+        assert not products, f"{path.name} multiplies with @ on lines {products}"
+
+
+def assert_same_stdout_under(kernels: list[str | None], argv: list[str]) -> None:
+    """Runs ``argv`` once under each OpenBLAS kernel and asserts that every
+    run prints the default kernel's stdout."""
     outputs = {}
     for kernel in kernels:
         env = child_env()
