@@ -20,6 +20,7 @@ power-law fitting.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -36,8 +37,8 @@ from .errors import (
 if TYPE_CHECKING:
     from .extraction import MVSeries
 
-# Most points, quadrats, rings, pooled counts, pairs or candidate pairs (of
-# one block) one call may ask for.
+# Most points, quadrats, rings, pooled counts or candidate pairs (of one
+# offset of the close-pair search) one call may ask for.
 _SIZE_LIMIT = 10**7
 
 
@@ -135,7 +136,7 @@ def _within_limit(what: str, size: float) -> float:
 
 
 # Most candidate pairs one block of the close-pair search lists, unless one
-# offset alone has more, and most (offset, point) rows it sets up at once.
+# point alone has more, and most (offset, point) rows it sets up at once.
 # Between 2**13 and 2**15 the search times alike from 100 to 4000 points;
 # larger blocks leave the cache, and smaller ones pay numpy's per-call cost.
 _BLOCK = 2**14
@@ -153,27 +154,28 @@ def _half_neighbourhood(reach: int) -> np.ndarray:
 _HALF_NEIGHBOURHOODS = {reach: _half_neighbourhood(reach) for reach in (1, 3)}
 
 
-def _torus_gap(u: np.ndarray, size: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Wraparound gap along one axis between each u[a], repeated ``size``
-    times, and u[b]."""
-    gap = np.abs(np.repeat(u, size) - u[b])
+def _torus_gap(u: np.ndarray, run: slice, size: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Wraparound gap along one axis between each u[a] of the run, repeated
+    ``size`` times, and u[b]."""
+    gap = np.abs(np.repeat(u[run], size) - u[b])
     return np.minimum(gap, 1.0 - gap, out=gap)
 
 
-def _close_pairs(pts: np.ndarray, r: float) -> tuple[np.ndarray, ...]:
-    """Pairs i < j about ``r`` or less apart, with their exact torus distance.
+def _close_pairs(pts: np.ndarray, r: float) -> Iterator[tuple[np.ndarray, ...]]:
+    """Yield, one block at a time, the pairs i < j about ``r`` or less apart,
+    with their exact torus distance.
 
     Linked cells (Allen & Tildesley, *Computer Simulation of Liquids*, 1987):
     the points are sorted into m-by-m periodic cells of side at least r/k,
     so a close pair lies in one cell or in two cells at most k apart per
     axis. Cells of side r hold about n r^2 points; from 16 on, cells of side
     r/3 (k = 3) list far fewer candidates that are not close pairs, which
-    outweighs their 25 offsets against 5. Consecutive offsets of the half
-    neighbourhood share one block while their candidates number at most
-    ``_BLOCK``, so a sparse search lists every offset in one block and a
-    dense one lists each offset on its own. With fewer than 2k + 1 cells per
-    axis the offsets would alias, so one cell holds every point and every
-    pair is a candidate.
+    outweighs their 25 offsets against 5. The offsets of the half
+    neighbourhood are set up a few at a time, and their points are listed
+    in runs of at most ``_BLOCK`` candidates, or one point's, so memory
+    grows with n and one block, not with the pairs. With fewer than 2k + 1
+    cells per axis the offsets would alias, so one cell holds every point
+    and every pair is a candidate.
     """
     # The widening keeps rounding from losing a pair at the edge.
     r = r * (1 + 1e-9)
@@ -196,8 +198,6 @@ def _close_pairs(pts: np.ndarray, r: float) -> tuple[np.ndarray, ...]:
     # whose square is subnormal from losing a pair to rounding.
     r2 = max(r * r * (1 + 1e-9), 2.0**-1000)
     offsets = _HALF_NEIGHBOURHOODS[reach] if m > 1 else _HALF_NEIGHBOURHOODS[reach][:1]
-    found = []
-    listed = 0
     per_chunk = max(1, _BLOCK // max(n, 1))
     for c in range(0, len(offsets), per_chunk):
         # One row per offset: each point's neighbour cell, where its
@@ -208,31 +208,27 @@ def _close_pairs(pts: np.ndarray, r: float) -> tuple[np.ndarray, ...]:
         if c == 0:  # the later points of the same cell
             size[0] += first[0] - here - 1
             first[0] = here + 1
-        totals = size.sum(axis=1).tolist()
-        j = 0
-        while j < len(totals):
-            k, total = j + 1, totals[j]
-            while k < len(totals) and total + totals[k] <= _BLOCK:
-                total += totals[k]
-                k += 1
-            # Count before listing: a dense pattern's candidates can outgrow memory.
-            _within_limit("candidate close pairs", total)
-            # A block's candidates run point by point, each point's offsets
-            # in turn.
-            block = size[j:k].ravel(order="F")
-            per_point = size[j:k].sum(axis=0)
-            skip = first[j:k].ravel(order="F") - (np.cumsum(block) - block)
-            b = np.arange(total) + np.repeat(skip, block)
-            dx, dy = _torus_gap(x, per_point, b), _torus_gap(y, per_point, b)
+        # Count before listing: a dense pattern's candidates can outgrow memory.
+        _within_limit("candidate close pairs", size.sum(axis=1).max())
+        per_point = size.sum(axis=0)
+        ends = np.cumsum(per_point)
+        lo = 0
+        while lo < n:
+            done = ends[lo - 1] if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, done + _BLOCK, side="right")))
+            run, per_run = slice(lo, hi), per_point[lo:hi]
+            # A run's candidates go point by point, each point's offsets in turn.
+            block = size[:, run].ravel(order="F")
+            skip = first[:, run].ravel(order="F") - (np.cumsum(block) - block)
+            b = np.arange(ends[hi - 1] - done) + np.repeat(skip, block)
+            dx, dy = _torus_gap(x, run, per_run, b), _torus_gap(y, run, per_run, b)
             near = np.flatnonzero(dx * dx + dy * dy <= r2)
             d = np.hypot(dx[near], dy[near])
             keep = d <= r
             close = near[keep]
-            a, b = order[np.repeat(here, per_point)[close]], order[b[close]]
-            listed = _within_limit("close pairs", listed + len(a))
-            found.append((np.minimum(a, b), np.maximum(a, b), d[keep]))
-            j = k
-    return tuple(np.concatenate(part) for part in zip(*found))
+            a, b = order[np.repeat(here[run], per_run)[close]], order[b[close]]
+            yield np.minimum(a, b), np.maximum(a, b), d[keep]
+            lo = hi
 
 
 def simulate_poisson(intensity: float, seed: int) -> PointPattern:
@@ -291,11 +287,11 @@ def simulate_hardcore(
         f"hardcore(proposal_intensity={proposal_intensity:g}, "
         f"radius={hardcore_radius:g})"
     )
-    i, j, d = _close_pairs(proposals, hardcore_radius)
-    i, j = i[d < hardcore_radius], j[d < hardcore_radius]
     keep = np.ones(count, dtype=bool)
-    keep[j[marks[i] < marks[j]]] = False
-    keep[i[marks[j] < marks[i]]] = False
+    for i, j, d in _close_pairs(proposals, hardcore_radius):
+        i, j = i[d < hardcore_radius], j[d < hardcore_radius]
+        keep[j[marks[i] < marks[j]]] = False
+        keep[i[marks[j] < marks[i]]] = False
     return PointPattern(proposals[keep], descriptor, seed)
 
 
@@ -401,10 +397,11 @@ def estimate_pcf(
     n_bins = int(math.floor(_within_limit("rings", r_max / bin_width) + 1e-12))
     n_bins = min(n_bins, int(math.floor((0.5 + 1e-12) / bin_width)))
     centers = (np.arange(n_bins) + 0.5) * bin_width
-    d = _close_pairs(pattern.points, n_bins * bin_width)[2]
-    # Half-open rings [k*w, (k+1)*w) by integer bin index.
-    idx = np.floor(d / bin_width).astype(np.int64)
-    raw = np.bincount(idx[idx < n_bins], minlength=n_bins)
+    raw = np.zeros(n_bins, dtype=np.int64)
+    for _, _, d in _close_pairs(pattern.points, n_bins * bin_width):
+        # Half-open rings [k*w, (k+1)*w) by integer bin index.
+        idx = np.floor(d / bin_width).astype(np.int64)
+        raw += np.bincount(idx[idx < n_bins], minlength=n_bins)
     n_pairs = n * (n - 1) / 2.0
     expected = n_pairs * 2.0 * math.pi * centers * bin_width
     return PcfEstimate(centers, raw / expected, float(bin_width), n)

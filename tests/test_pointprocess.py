@@ -73,11 +73,12 @@ class TestTorusMetric:
 
 
 def assert_close_pairs_match_oracle(points, r):
-    """The close-pair search lists exactly the pairs i < j that the all-pairs
-    oracle puts at most r (1 + 1e-9) apart, with the same distance bits.
-    Returns the number of pairs."""
+    """The blocks of the close-pair search list, between them, exactly the
+    pairs i < j that the all-pairs oracle puts at most r (1 + 1e-9) apart,
+    with the same distance bits. Returns the number of pairs."""
     points = np.asarray(points, dtype=float).reshape(-1, 2)
-    i, j, d = _close_pairs(points, r)
+    none = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
+    i, j, d = (np.concatenate(part) for part in zip(none, *_close_pairs(points, r)))
     order = np.lexsort((j, i))
     want_d = pairwise_torus_distances(points)
     want_i, want_j = np.triu_indices(len(points), k=1)
@@ -169,21 +170,43 @@ class TestClosePairs:
 
     @pytest.mark.parametrize("r", [0.05, 0.3])
     def test_blocks_of_the_module_budget(self, r):
-        # 1500 points: at r = 0.05 the 5 offsets share 2 blocks; at r = 0.3
-        # each of the 24 offsets besides the cell's own has alone about
-        # 27,700 candidates, above the budget of 16,384.
+        # 1500 points, set up 10 offsets at a time: at r = 0.05 the 5
+        # offsets list their points in 2 runs; at r = 0.3 each offset has
+        # about 27,700 candidates, and 44 runs of about 95 points each stay
+        # under the budget of 16,384.
         points = np.random.default_rng(5).random((1500, 2))
         assert assert_close_pairs_match_oracle(points, r) > 0
 
+    @pytest.mark.parametrize("caller", ["pairs", "pcf", "hardcore"])
     @pytest.mark.parametrize("block", [1, 7, 300, 5000])
     @pytest.mark.parametrize("r", [0.03, 0.2])
-    def test_offsets_split_into_budgeted_blocks(self, monkeypatch, block, r):
-        # A budget of 1 leaves every offset alone in a block above it; the
-        # others split the offsets at other edges, and a budget below n
-        # sets up the per-point rows a few offsets at a time.
+    def test_offsets_split_into_budgeted_blocks(self, monkeypatch, caller, block, r):
+        # A budget of 1 lists each point's candidates alone; the others end
+        # the runs of points at other edges, and a budget below n sets up
+        # the per-point rows a few offsets at a time. Each caller folds the
+        # blocks into the all-pairs answer, bit for bit, and no block lists
+        # more than the budget unless it holds one point's candidates.
         monkeypatch.setattr(pointprocess, "_BLOCK", block)
+        runs = []
+        gap = pointprocess._torus_gap
+
+        def spy(u, run, size, b):
+            runs.append((run.stop - run.start, len(b)))
+            return gap(u, run, size, b)
+
+        monkeypatch.setattr(pointprocess, "_torus_gap", spy)
         points = np.vstack([lattice(10), np.random.default_rng(5).random((600, 2))])
-        assert assert_close_pairs_match_oracle(points, r) > 0
+        if caller == "pairs":
+            assert assert_close_pairs_match_oracle(points, r) > 0
+        elif caller == "pcf":
+            est = estimate_pcf(PointPattern(points, "manual", 0), 0.01, r)
+            np.testing.assert_array_equal(est.g, brute_force_g(points, 0.01, r))
+        else:
+            proposals, _, survivors = brute_force_hardcore(600.0, r, 5)
+            pattern = simulate_hardcore(600.0, r, 5)
+            np.testing.assert_array_equal(pattern.points, proposals[survivors])
+        assert runs
+        assert all(candidates <= block or size == 1 for size, candidates in runs)
 
     def test_refuses_before_listing(self):
         # 4500 coincident points: 10,122,750 candidates in one block.
@@ -191,7 +214,7 @@ class TestClosePairs:
         tracemalloc.start()
         try:
             with pytest.raises(UsageError, match="candidate close pairs"):
-                _close_pairs(crowd, 0.25)
+                next(_close_pairs(crowd, 0.25))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -249,20 +272,14 @@ class TestSimulators:
             assert simulate_hardcore(300.0, 0.05, seed).n < 300 * 0.7
 
     def test_hardcore_is_matern_type_ii_thinning(self):
-        # Redraw the simulator's proposals and marks, then thin them by the
-        # dense rule over all pairs: type II kills a proposal when any
-        # proposal within r, dead or alive, has a smaller mark. Sequential
-        # inhibition, which keeps proposals in arrival order unless an
-        # accepted one lies within r, keeps more points and must differ on at
-        # least one seed. 600 proposals spread over many cells of the search.
+        # Sequential inhibition, which keeps proposals in arrival order
+        # unless an accepted one lies within r, keeps more points than type
+        # II and must differ on at least one seed. 600 proposals spread over
+        # many cells of the search.
         def check(intensity, r, seed):
-            rng = np.random.default_rng(seed)
-            proposals = rng.random((rng.poisson(intensity), 2))
-            marks = rng.random(len(proposals))
-            dist = squareform(pairwise_torus_distances(proposals))
+            proposals, dist, type_ii = brute_force_hardcore(intensity, r, seed)
             near = dist < r
             np.fill_diagonal(near, False)
-            type_ii = ~(near & (marks[None, :] < marks[:, None])).any(axis=1)
             sequential = np.zeros(len(proposals), dtype=bool)
             for i in range(len(proposals)):
                 sequential[i] = not (near[i] & sequential).any()
@@ -317,14 +334,16 @@ class TestSimulators:
             make()
 
     def test_too_many_close_pairs_is_a_usage_error(self):
-        # 4500 coincident points make 10,122,750 pairs: counted, never listed.
+        # 4500 coincident points share one cell: its 10,122,750 candidates
+        # are counted and refused before any is listed.
         crowd = PointPattern(np.full((4500, 2), 0.5), "manual", 0)
         with pytest.raises(UsageError, match="close pairs"):
             estimate_pcf(crowd, 0.01, 0.25)
 
     def test_close_pair_search_memory_grows_with_pairs_not_n_squared(self):
         # tracemalloc sees numpy buffers. The dense all-pairs searches this
-        # replaced peaked near 770 MB and 500 MB on these two calls.
+        # replaced peaked near 770 MB and 500 MB on these two calls, and a
+        # list of every close pair before binning near 76 MB on the second.
         pattern = simulate_poisson(4000.0, 2)
         tracemalloc.start()
         try:
@@ -336,7 +355,15 @@ class TestSimulators:
         finally:
             tracemalloc.stop()
         assert hardcore_peak < 20e6
-        assert pcf_peak < 150e6
+        assert pcf_peak < 10e6
+
+    def test_only_the_candidates_of_one_offset_meet_the_limit(self, monkeypatch):
+        # About 98,000 close pairs, but about 8,300 candidates per offset:
+        # the pairs are folded block by block, and no limit holds them.
+        monkeypatch.setattr(pointprocess, "_SIZE_LIMIT", 50_000)
+        points = np.random.default_rng(1).random((1000, 2))
+        est = estimate_pcf(PointPattern(points, "manual", 0), 0.01, 0.25)
+        np.testing.assert_array_equal(est.g, brute_force_g(points, 0.01, 0.25))
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "7", True])
     def test_seed_validation(self, seed):
@@ -471,6 +498,19 @@ def lattice(k):
     """k*k grid of spacing 1/k: many pairs lie exactly on ring edges."""
     ticks = np.arange(k) / k
     return np.array([(x, y) for x in ticks for y in ticks])
+
+
+def brute_force_hardcore(intensity, r, seed):
+    """Redraw the hardcore simulator's proposals and marks, then thin them by
+    the dense rule over all pairs: type II kills a proposal when any proposal
+    within r, dead or alive, has a smaller mark. Returns the proposals, their
+    all-pairs distance matrix and the survivors' mask."""
+    rng = np.random.default_rng(seed)
+    proposals = rng.random((rng.poisson(intensity), 2))
+    marks = rng.random(len(proposals))
+    dist = squareform(pairwise_torus_distances(proposals))
+    smaller = (dist < r) & (marks[None, :] < marks[:, None])
+    return proposals, dist, ~smaller.any(axis=1)
 
 
 def brute_force_g(points, w, r_max):
