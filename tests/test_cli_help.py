@@ -5,7 +5,9 @@ stdout, stderr and exit status with ``tests/cli_help.json``: the top-level
 and every command's ``--help``, the usage errors argparse reports, an
 abbreviated flag and a negative number in exponent form. argparse's wording
 moves between Python versions, so the cases run on the version the file was
-recorded under and are skipped on any other.
+recorded under and are skipped on any other. The installed ``taylorlaw``
+console script, where there is one, must print what ``python -m taylorlaw``
+prints.
 
 To record the file again after a deliberate change, run
 ``PYTHONPATH=src python tests/test_cli_help.py`` from the repository root
@@ -16,12 +18,16 @@ import contextlib
 import io
 import json
 import os
+import shutil
+import subprocess
 import sys
+import sysconfig
 import tempfile
 from pathlib import Path
 
 import pytest
 
+from conftest import EXACT_TABLE_CSV, child_env
 from taylorlaw.cli import COMMANDS, main
 
 PINS = Path(__file__).resolve().parent / "cli_help.json"
@@ -69,6 +75,29 @@ def test_bytes_match_the_recorded_run(case, monkeypatch, tmp_path):
 
 def test_every_case_is_recorded():
     assert list(_recorded()["cases"]) == list(CASES)
+
+
+def test_console_script_prints_what_python_m_prints(tmp_path):
+    script = shutil.which("taylorlaw", path=sysconfig.get_path("scripts"))
+    if script is None:
+        pytest.skip("the taylorlaw console script is not installed in this environment")
+    (tmp_path / "exact.csv").write_text(EXACT_TABLE_CSV)
+
+    def run(*command):
+        return subprocess.run(
+            command, capture_output=True, cwd=tmp_path, env=child_env(), text=True
+        )
+
+    runs = [
+        ["pacd", "--a", "2", "--b", "1.5"],
+        ["classify", "--input", "exact.csv", "--scheme", "subjects_across_species"],
+        *([name, "--help"] for name in COMMANDS),
+    ]
+    for argv in runs:
+        by_script, by_module = run(script, *argv), run(sys.executable, "-m", "taylorlaw", *argv)
+        assert by_module.returncode == 0, by_module.stderr
+        assert (by_script.returncode, by_script.stdout) == (0, by_module.stdout), argv
+    assert run(script, "nope").returncode == 1
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ review the diff.
 import contextlib
 import csv
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -141,9 +142,33 @@ def _csv_rows(text: str) -> list[list[str]]:
     return rows
 
 
+def _json_leaves(value, path=""):
+    """(field, the CSV values it may read as) for each leaf or empty
+    container of a JSON report read with every number as its text: the
+    README's dotted paths, ``[i]`` for list items; null is None ("") or a
+    non-finite float ("nan")."""
+    if type(value) is dict:
+        items = [(f"{path}.{k}" if path else k, v) for k, v in value.items()]
+    elif type(value) is list:
+        items = [(f"{path}[{i}]", v) for i, v in enumerate(value)]
+    else:
+        allowed = {None: ("", "nan"), True: ("true",), False: ("false",)}
+        return [(path, allowed.get(value, (value,)))]
+    if not items:
+        return [(path, ("",))]
+    return [leaf for p, v in items for leaf in _json_leaves(v, p)]
+
+
+# Each CSV report also lists the JSON report's leaves, in order, with equal
+# values.
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_csv_report_rows_have_two_fields(name):
-    _csv_rows((GOLDEN / f"{name}.csv").read_text(encoding="utf-8"))
+    rows = _csv_rows((GOLDEN / f"{name}.csv").read_text(encoding="utf-8"))
+    text = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    leaves = _json_leaves(json.loads(text, parse_float=str, parse_int=str))
+    assert [field for field, _ in rows[1:]] == [field for field, _ in leaves]
+    unequal = [row for row, (_, allowed) in zip(rows[1:], leaves) if row[1] not in allowed]
+    assert unequal == []
 
 
 def test_quoted_species_ids_keep_two_fields(tmp_path):

@@ -13,14 +13,18 @@ the point-pattern commands load no ``tables``, and ``fit-dispersion`` no
 way a command leaves the process (a report, ``--help`` and a usage error)
 leaves the cyclic garbage collector off and the heap frozen, so the
 interpreter's shutdown collections skip every object; the bare import
-leaves both as they were.
+leaves both as they were. The CI job that installs numpy alone runs
+exactly the test modules that import no scipy, hypothesis or mpmath.
 """
 
+import ast
 import functools
 import importlib
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -240,3 +244,29 @@ def test_point_process_commands_run_without_scipy(argv):
     assert (blocked.returncode, blocked.stderr) == (0, "")
     assert plain.returncode == 0
     assert blocked.stdout == plain.stdout
+
+
+TESTS = Path(__file__).resolve().parent
+WORKFLOW = TESTS.parent / ".github" / "workflows" / "tests.yml"
+_EXTRAS = {"scipy", "hypothesis", "mpmath"}
+
+
+def _imports_an_extra(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.partition(".")[0] in _EXTRAS for name in names):
+            return True
+    return False
+
+
+def test_the_runtime_only_job_runs_every_module_without_an_extra():
+    job = re.search(r"^  runtime-only:\n(.*?)(?=^  \S|\Z)", WORKFLOW.read_text(), re.M | re.S)
+    listed = re.findall(r"\btests/(test_\w+\.py)\b", job[1])
+    bare = [path.name for path in TESTS.glob("test_*.py") if not _imports_an_extra(path)]
+    assert sorted(listed) == sorted(bare)
+    assert not _imports_an_extra(TESTS / "conftest.py")

@@ -48,6 +48,16 @@ EXACT_SQUARE = (
     "u1,0,7,7,7\nu1,1,7,7,7\nu1,2,7,7,7\n"
 )
 
+# Subjects of 3, 2, 3 and 2 rows: two blocks, whose subjects interleave in
+# the table, and the all-zero C fails alone.
+RAGGED = (
+    "subject_id,time,sp1,sp2,sp3,sp4\n"
+    "A,1,3,9,27,81\nA,2,5,11,30,70\nA,3,2,8,25,90\n"
+    "B,1,4,10,20,40\nB,2,6,14,26,60\n"
+    "C,1,0,0,0,0\nC,2,0,0,0,0\nC,3,0,0,0,0\n"
+    "D,1,1,2,3,4\nD,2,2,3,5,9\n"
+)
+
 
 @st.composite
 def longitudinal_tables(draw, failing_only=False):
@@ -122,6 +132,7 @@ def error_report(scheme, subject, message, output_format):
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(drawn=longitudinal_tables())
 @example(drawn=(EXACT_SQUARE, ["u0", "u1"]))
+@example(drawn=(RAGGED, ["A", "B", "C", "D"]))
 def test_each_report_is_the_subjects_own_run(scheme, method, drawn):
     text, subjects = drawn
     with tempfile.TemporaryDirectory() as tmp:

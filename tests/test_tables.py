@@ -36,8 +36,20 @@ class TestCrossSectional:
         assert table.times is None
         np.testing.assert_array_equal(table.counts, [[100.0, 1200.0, 0.0]])
 
-    def test_two_rows_preserve_order(self):
-        text = "subject_id,sp1,sp2,sp3\n#400,100,1200,0\n#401,200,800,1000\n"
+    # One table, plainly written, fully quoted, with a digit separator and
+    # with counts written as floats.
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "subject_id,sp1,sp2,sp3\n#400,100,1200,0\n#401,200,800,1000\n",
+            '"subject_id","sp1","sp2","sp3"\n"#400","100","1200","0"\n'
+            '"#401","200","800","1000"\n',
+            "subject_id,sp1,sp2,sp3\n#400,100,1_200,0\n#401,200,800,1000\n",
+            "subject_id,sp1,sp2,sp3\n#400,100.0,1200.0,0.0\n#401,200.0,800.0,1000.0\n",
+        ],
+        ids=["plain", "quoted", "underscore", "float"],
+    )
+    def test_two_rows_preserve_order(self, text):
         table = parse_cross_sectional(text)
         assert table.subject_ids == ("#400", "#401")
         np.testing.assert_array_equal(
