@@ -328,12 +328,14 @@ def render_report(value, output_format: str) -> str:
 
 
 def _read_text(path: str) -> str:
-    """Read a UTF-8 input file; undecodable bytes are a parse error."""
+    """Read a UTF-8 input file; undecodable bytes are a parse error. A
+    leading byte-order mark, as spreadsheets write, is dropped after the
+    decode, so an error's offset counts from the start of the file."""
     from pathlib import Path
 
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ParseError(
             f"{path}: not UTF-8 text: byte 0x{data[exc.start]:02x} "

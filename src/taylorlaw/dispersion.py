@@ -176,7 +176,7 @@ def fit_dispersion_table(
         cut: its largest singular value is at most its Frobenius norm F,
         its smallest |u|/|v| to rounding, with v 1 at s and minus the
         coefficients of s - u on the other two columns. The exponents are
-        written into s first, as in ``fitting._powers``, so x^c rounds
+        written into s first, as in ``fitting._profile``, so x^c rounds
         alike for every shape of ``cs``. Returns the RSS and the rank-3
         mask, or given ``alpha``, the RSS, its slope and Gauss-Newton
         curvature in c, and the columns RSS, a, b, d and rank-3 mask.
@@ -220,19 +220,17 @@ def fit_dispersion_table(
         np.where(full, profiles, np.inf).argmin(axis=0),
         lambda cs, rows: solve(cs, r0[rows], alpha[:, rows]),
     )
-    for i, profile, c_hat, (rss, a, b, d, full) in zip(
-        todo, profiles.T, c_hats.tolist(), fits.tolist()
+    flats = np.ptp(profiles, axis=0) <= np.maximum(1e-6 * profiles.min(axis=0), 1e-12)
+    for i, flat, c_hat, (rss, a, b, d, full) in zip(
+        todo, flats.tolist(), c_hats.tolist(), fits.tolist()
     ):
-        flat = float(profile.max() - profile.min()) <= max(
-            1e-6 * float(profile.min()), 1e-12
-        )
         if not full:
             results[i] = DegenerateDesignError(
                 "degenerate design: distance layout leaves the model underdetermined"
             )
             continue
         results[i] = DispersionFit(
-            a=a, b=b, c=c_hat, d=d, rss_log=rss, n_used=n, profile_flat=bool(flat)
+            a=a, b=b, c=c_hat, d=d, rss_log=rss, n_used=n, profile_flat=flat
         )
     return results
 

@@ -6,7 +6,9 @@ profile over b alone, a being solved exactly at each b (variable
 projection, Golub & Pereyra 1973), scanned on a grid and finished by
 safeguarded Newton steps on the profile's exact derivatives; that fit is
 ``converged`` only when the profile's minimum lies inside its bracket and
-the profile is not flat. The critical density and the slope test that a
+the profile is not flat. One kernel, ``_profile``, gives the grid's RSS,
+each Newton step's objective and the a, RSS and standard-error sums the
+fit reports at its b. The critical density and the slope test that a
 fit feeds live in ``crossover``, which needs no numpy.
 
 Both fits work on blocks of series of one length (see ``extraction``):
@@ -16,8 +18,8 @@ result, or its data error, on the block; a series built on its own is a
 block of one row. Each row is computed as a lone 1-D series is: its sums
 run along the row (pairwise, or one ``np.einsum("...i,...i->...")``
 per dot product, never a BLAS or LAPACK call, whose sums change with the
-CPU kernel the library picks), and its powers m^b come from one kernel
-(``_powers``) that never lets numpy take its single-exponent loop, whose
+CPU kernel the library picks), and its powers m^b come from
+``_profile``, which never lets numpy take its single-exponent loop, whose
 m^2, m^0.5 and m^-1 round differently. So a row's fit has the same bits
 in a block as alone, and under every BLAS kernel.
 """
@@ -300,85 +302,56 @@ def _newton_minima(
     return np.where(better, x, at), np.where(better, here[3].T, start[3].T).T
 
 
-def _powers(
-    b: np.ndarray, m: np.ndarray, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """p = m^b (rows, k, n) at each exponent of each row of ``b`` (rows, k),
-    for the rows of ``m`` and ``v`` (rows, n), with sum(p^2) and the exact
-    a = sum(v p) / sum(p^2) for that b (rows, k), both sums by einsum. The
-    exponents are written into the output first, so every call runs
-    numpy's loop for an array of exponents: given one exponent, numpy runs
-    another loop, whose m^2, m^0.5 and m^-1 can round differently. Call
-    under ``np.errstate``."""
-    p = np.empty((*b.shape, m.shape[1]))
-    p[...] = b[:, :, None]
-    np.power(m[:, None, :], p, out=p)
-    s2 = np.einsum("...i,...i->...", p, p)
-    return p, s2, np.einsum("...i,...i->...", p, v[:, None, :]) / s2
+def _profile(
+    b: np.ndarray, m: np.ndarray, v: np.ndarray, log_m: np.ndarray | None = None
+) -> np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The profile R(b) = min_a sum((v - a m^b)^2) at each exponent of each
+    row of ``b`` (rows, k), for the rows of ``m`` and ``v`` (rows, n): the
+    one kernel of the raw-space fit, for the b grid, each Newton step and
+    the fit reported. With p = m^b, a = sum(v p) / sum(p^2), and R is
+    summed from the residuals r = v - a p, which overwrite p, not from
+    sum(v^2) - a sum(v p), which cancels; it is inf where not finite. Each
+    sum is one einsum along a row, so a row's values do not depend on the
+    rows beside it. The exponents are written into p first, so numpy never
+    takes its single-exponent loop, whose m^2, m^0.5 and m^-1 round
+    differently. Call under ``np.errstate``.
 
-
-def _grid_scan(
-    grid: np.ndarray, m: np.ndarray, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The argmin, minimum and spread (max - min) of each row's profile
-    R(b) = min_a sum((v - a m^b)^2) on its row of ``grid``. The RSS is
-    summed from the residuals, not from sum(v^2) - a sum(v m^b), which
-    cancels; it is inf where a value leaves the float range. The rows are
-    scanned in chunks whose (rows, grid, pairs) block of powers holds at
-    most ``_GRID_ELEMENTS`` values, or one row when a row alone holds more.
-    Call under ``np.errstate``."""
-    best = np.empty(len(m), dtype=np.intp)
-    low, spread = np.empty(len(m)), np.empty(len(m))
-    step = max(1, _GRID_ELEMENTS // (grid.shape[1] * m.shape[1]))
-    for i in range(0, len(m), step):
-        rows = slice(i, i + step)
-        resid, _, a = _powers(grid[rows], m[rows], v[rows])
-        resid *= -a[..., None]
-        resid += v[rows, None, :]
-        rss = np.einsum("...i,...i->...", resid, resid)
-        del resid  # freed before the next chunk's powers, which can reuse its memory
-        profile = np.where(np.isfinite(rss), rss, np.inf)
-        best[rows] = profile.argmin(axis=1)
-        low[rows] = profile.min(axis=1)
-        spread[rows] = np.ptp(profile, axis=1)
-    return best, low, spread
-
-
-def _raw_objective(
-    b: np.ndarray, m: np.ndarray, v: np.ndarray, log_m: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """For each row, the profile R(b) = min_a sum((v - a m^b)^2) at that
-    row's exponent, with its exact first and second derivatives and the a:
-    the Newton objective.
-
-    R is a one-point ``_grid_scan``'s minimum bit for bit, and a row's
-    values do not depend on the rows evaluated with it. On the 161-point
-    grid each a is summed against v broadcast across the grid points, an
-    einsum over other strides, so the grid's R at a point can differ from
-    this R in the last bits. With p = m^b, r = v - a p and w = p (ln m - l),
-    where l = sum(p^2 ln m) / sum(p^2) makes w orthogonal to p,
-    R' = -2a r.w is the variable projection gradient, and
-    R'' = 2a^2 w.w - 2a sum(r w (ln m - l)) - 2 (r.w)^2 / sum(p^2). As r
-    is orthogonal to p, these equal the plain forms in p ln m, but they do
-    not cancel where one pair's p dwarfs the rest. Where R is not finite it
-    is inf and the derivatives are NaN.
+    Without ``log_m`` it returns R (rows, k). Given ``log_m`` and k = 1 it
+    returns the Newton objective: R, its exact slope and curvature (NaN
+    where R is not finite) and the columns (a, RSS, l, sum(p^2), w.w)
+    (rows, 5), where l = sum(p^2 ln m) / sum(p^2) makes w = p (ln m - l)
+    orthogonal to p: R' = -2a r.w is the variable projection gradient and
+    R'' = 2a^2 w.w - 2a sum(r w (ln m - l)) - 2 (r.w)^2 / sum(p^2). As r is
+    orthogonal to p, these equal the plain forms in p ln m, but they do not
+    cancel where one pair's p dwarfs the rest. On a grid of k > 1 points
+    each a is an einsum over other strides, so the grid's R can differ from
+    the Newton R at the same b in the last bits.
     """
-    p, s2, a = (value[:, 0] for value in _powers(b[:, None], m, v))
-    r = v - a[:, None] * p
+    p = np.empty((*b.shape, m.shape[1]))
+    p[...] = b[..., None]
+    np.power(m[:, None, :], p, out=p)
+    v = v[:, None, :]
+    s2 = np.einsum("...i,...i->...", p, p)
+    a = np.einsum("...i,...i->...", p, v) / s2
+    if log_m is not None:
+        log_m = log_m[:, None, :]
+        l = np.einsum("...i,...i->...", p, p * log_m) / s2
+        d = log_m - l[..., None]
+        w = p * d
+    r = p
+    r *= -a[..., None]
+    r += v
     rss = np.einsum("...i,...i->...", r, r)
-    d = log_m - (np.einsum("...i,...i->...", p, p * log_m) / s2)[:, None]
-    w = p * d
+    finite = np.isfinite(rss)
+    profile = np.where(finite, rss, np.inf)
+    if log_m is None:
+        return profile
     rw = np.einsum("...i,...i->...", r, w)
     ww = np.einsum("...i,...i->...", w, w)
     rwd = np.einsum("...i,...i->...", r, w * d)
-    curvature = 2.0 * a * (a * ww - rwd) - 2.0 * rw * rw / s2
-    finite = np.isfinite(rss)
-    return (
-        np.where(finite, rss, np.inf),
-        np.where(finite, -2.0 * a * rw, np.nan),
-        np.where(finite, curvature, np.nan),
-        a,
-    )
+    slope = np.where(finite, -2.0 * a * rw, np.nan)
+    curvature = np.where(finite, 2.0 * a * (a * ww - rwd) - 2.0 * rw * rw / s2, np.nan)
+    return profile[:, 0], slope[:, 0], curvature[:, 0], np.column_stack([a, rss, l, s2, ww])
 
 
 def fit_nls(series: MVSeries) -> PowerLawFit:
@@ -417,23 +390,40 @@ def _nls_fits(m: np.ndarray, v: np.ndarray, b0: np.ndarray, width: int) -> list:
     its data error, searched around the log-space slopes ``b0``."""
     n = m.shape[1]
     with np.errstate(all="ignore"):
+        # The grid is scanned in chunks of rows whose (rows, grid, pairs)
+        # block of powers holds at most _GRID_ELEMENTS values, or one row
+        # when a row alone holds more.
         grid = b0[:, None] + _B_OFFSETS
-        best, low, spread = _grid_scan(grid, m, v)
+        best = np.empty(len(m), dtype=np.intp)
+        low, spread = np.empty(len(m)), np.empty(len(m))
+        step = max(1, _GRID_ELEMENTS // (grid.shape[1] * n))
+        for i in range(0, len(m), step):
+            rows = slice(i, i + step)
+            profile = _profile(grid[rows], m[rows], v[rows])
+            best[rows] = profile.argmin(axis=1)
+            low[rows] = profile.min(axis=1)
+            spread[rows] = np.ptp(profile, axis=1)
         overflow, flat = np.isinf(low), spread <= 1e-6 * low
         log_m = np.log(m)
         # A profile flat to rounding gets no edge stop: its b is arbitrary,
         # and where its steps end depends on rounding alone.
-        b, a = _newton_minima(
+        b, kept = _newton_minima(
             grid,
             best,
-            lambda b, rows: _raw_objective(b, m[rows], v[rows], log_m[rows]),
+            lambda b, rows: _profile(b[:, None], m[rows], v[rows], log_m[rows]),
             ~flat,
         )
         converged = (grid[:, 0] < b) & (b < grid[:, -1]) & ~flat
-        p, s2, _ = (value[:, 0] for value in _powers(b[:, None], m, v))
-        resid = v - a[:, None] * p
-        rss = np.einsum("...i,...i->...", resid, resid)
-        se_a, se_b = _standard_errors(p, s2, a, log_m, rss / (n - 2))
+        a, rss, l, s2, ww = kept.T
+        # se_a and se_b from the diagonal of sigma2 (J'J)^-1 for the Jacobian
+        # J = [p, a p ln m], in closed form about l, as _log_ols_fit centres
+        # on the mean of ln m: var_a = sigma2 (1/sum(p^2) + l^2 / w.w) and
+        # var_b = sigma2 / (a^2 w.w). A row whose ln m are all equal, or
+        # whose w.w is not positive, gets (0, 0).
+        sigma2 = rss / (n - 2)
+        variances = np.array([sigma2 * (1.0 / s2 + l * l / ww), sigma2 / (a * a * ww)])
+        identified = (ww > 0.0) & ~(log_m == log_m[:, :1]).all(axis=1)
+        se_a, se_b = np.sqrt(np.where(identified, variances, 0.0))
         tss = np.sum((v - v.mean(axis=1, keepdims=True)) ** 2, axis=1)
     results: list = []
     for overflow_i, a_i, b_i, se_a_i, se_b_i, rss_i, tss_i, converged_i in zip(
@@ -469,21 +459,3 @@ def _nls_fits(m: np.ndarray, v: np.ndarray, b0: np.ndarray, width: int) -> list:
             )
         results.append(fit)
     return results
-
-
-def _standard_errors(
-    p: np.ndarray, s2: np.ndarray, a: np.ndarray, log_m: np.ndarray, sigma2: np.ndarray
-) -> np.ndarray:
-    """(se_a, se_b), (2, rows): the square roots of the diagonal of
-    sigma2 (J'J)^-1 for the Jacobian J = [p, a p ln m] of a m^b at p = m^b,
-    in closed form about l = sum(p^2 ln m) / sum(p^2), as ``_log_ols_fit``
-    centres on the mean of ln m: with d = ln m - l, var_b =
-    sigma2 / (a^2 sum((p d)^2)) and var_a = sigma2 (1/sum(p^2) +
-    l^2 / sum((p d)^2)). A row whose ln m are all equal, or whose
-    sum((p d)^2) is not positive, gets (0, 0). Call under ``np.errstate``."""
-    l = np.einsum("...i,...i->...", p, p * log_m) / s2
-    pd = p * (log_m - l[:, None])
-    spd = np.einsum("...i,...i->...", pd, pd)
-    variances = np.array([sigma2 * (1.0 / s2 + l * l / spd), sigma2 / (a * a * spd)])
-    identified = (spd > 0.0) & ~(log_m == log_m[:, :1]).all(axis=1)
-    return np.sqrt(np.where(identified, variances, 0.0))

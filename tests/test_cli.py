@@ -795,6 +795,15 @@ class TestHostileInput:
         assert (rc, out) == (2, "")
         assert err == f"error: {path}: not UTF-8 text: byte 0xe9 at offset 14\n"
 
+    def test_a_byte_order_mark_counts_in_the_byte_offset(self, capsys, tmp_path):
+        # The mark is dropped after the decode, so the offset is the file's.
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfsubject_id,sp\xff\nx,1\n")
+        argv = ["fit-taylor", "--scheme", "subjects_across_species", "--input", str(path)]
+        rc, out, err = run_hostile(capsys, argv)
+        assert (rc, out) == (2, "")
+        assert err == f"error: {path}: not UTF-8 text: byte 0xff at offset 16\n"
+
     # One cell past the csv module's default field size limit, in a data row
     # of each layout and in a header.
     @pytest.mark.parametrize(

@@ -44,7 +44,8 @@ from taylorlaw import (
 )
 from taylorlaw import crossover, fitting
 from taylorlaw._fmt import sig12
-from taylorlaw.fitting import _grid_scan, _raw_objective
+from taylorlaw.extraction import _Block
+from taylorlaw.fitting import _profile
 
 
 def two_sided_tail_by_quadrature(t: float, dof: int) -> float:
@@ -385,6 +386,38 @@ class TestNls:
             fit = fit_nls(series_of(*zip(ms.tolist(), vs.tolist())))
             assert (fit.se_ln_a, fit.se_b) == (0.0, 0.0), case
 
+    def test_reported_a_and_rss_belong_to_the_reported_b(self):
+        # The fit reports the a and RSS the Newton finish kept, not a fresh
+        # evaluation at b: on flat rows and on rows that stop at a grid
+        # edge, where the finish keeps its grid point, as on the rest, they
+        # are the exact a and the RSS at the reported b. All rows are fitted
+        # in one block, so each is kept from its own evaluation.
+        rng = np.random.default_rng(20261024)
+        rows, k = 300, 8
+        ms = np.exp(rng.uniform(-2.0, 6.0, (rows, k)))
+        ms[::10] = ms[::10, :1]  # equal means: the profile is flat
+        # Raw-space slopes far above the log-space ones: the minimum lies
+        # past the grid's edge.
+        steep = np.arange(rows) % 3 == 1
+        exponents = np.where(steep, rng.uniform(4.0, 8.0, rows), rng.uniform(0.5, 2.5, rows))
+        vs = 1.7 * ms ** exponents[:, None] * rng.lognormal(0.0, 0.5, (rows, k))
+        vs[rng.random((rows, k)) < 0.1] = 0.0
+        block = _Block(ms, vs)
+        labels = tuple(f"p{i}" for i in range(k))
+        flat = edge = 0
+        for row in range(rows):
+            series = MVSeries._of_block(None, labels, block, row)
+            fit = fit_nls(series)
+            p = series.means**fit.b
+            a = np.sum(series.variances * p) / np.sum(p * p)
+            rss = np.sum((series.variances - a * p) ** 2)
+            assert fit.a == pytest.approx(a, rel=1e-12), row
+            assert fit.rss_raw == pytest.approx(rss, rel=1e-12), row
+            flat += row % 10 == 0 and not fit.converged
+            b0 = fit_log_ols(series).b if row % 10 else 1.0
+            edge += fit.b in (b0 - 3.0, b0 + 3.0)
+        assert flat == rows // 10 and edge >= 40
+
     def test_standard_errors_match_the_inverse_of_jtj(self):
         # Oracle: sigma^2 (J'J)^-1 by LAPACK, J = [m^b, a m^b ln m].
         rng = np.random.default_rng(20261022)
@@ -415,6 +448,12 @@ def brute_force_nls_scan(series, points=20001):
     powers = m ** np.linspace(b0 - 3.0, b0 + 3.0, points)[:, None]
     a = np.sum(powers * v, axis=1) / np.sum(powers**2, axis=1)
     return np.sum((v - a[:, None] * powers) ** 2, axis=1)
+
+
+def newton_calls(profile: mock.Mock) -> int:
+    """The calls of a mocked ``_profile`` given ``log_m``: the Newton
+    objective's evaluations, not the grid's."""
+    return sum(len(c.args) > 3 or "log_m" in c.kwargs for c in profile.call_args_list)
 
 
 class TestNlsProfileOracle:
@@ -450,11 +489,9 @@ class TestNlsProfileOracle:
             k = int(rng.integers(5, 41))
             ms = np.exp(rng.uniform(-2.0, 6.0, k))
             vs = 1.7 * ms ** rng.uniform(1.0, 2.5) * rng.lognormal(0.0, 0.3, k)
-            with mock.patch.object(
-                fitting, "_raw_objective", wraps=_raw_objective
-            ) as objective:
+            with mock.patch.object(fitting, "_profile", wraps=_profile) as profile:
                 fit_nls(series_of(*zip(ms.tolist(), vs.tolist())))
-            counts.append(objective.call_count)
+            counts.append(newton_calls(profile))
         assert np.median(counts) <= 6
 
     def test_a_minimum_past_the_grid_edge_stops_at_the_grid_point(self):
@@ -470,13 +507,11 @@ class TestNlsProfileOracle:
             vs = 1.7 * ms ** rng.uniform(4.0, 8.0) * rng.lognormal(0.0, 1.0, k)
             series = series_of(*zip(ms.tolist(), vs.tolist()))
             b0 = fit_log_ols(series).b
-            with mock.patch.object(
-                fitting, "_raw_objective", wraps=_raw_objective
-            ) as objective:
+            with mock.patch.object(fitting, "_profile", wraps=_profile) as profile:
                 fit = fit_nls(series)
             if fit.b in (b0 - 3.0, b0 + 3.0):
                 edges += 1
-                assert objective.call_count <= 3
+                assert newton_calls(profile) <= 3
                 assert not fit.converged
                 assert fit.rss_raw <= brute_force_nls_scan(series).min() * (1 + 4e-16)
         assert edges >= 20
@@ -494,8 +529,8 @@ def raw_pairs(draw):
 
 
 class TestNlsGoldenObjective:
-    """The Newton steps' RSS is a one-point grid's, bit for bit, and a row's
-    objective is the same alone as in a block."""
+    """``_profile``'s Newton RSS is its one-point grid's, bit for bit, and a
+    row's objective is the same alone as in a block."""
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -509,8 +544,8 @@ class TestNlsGoldenObjective:
     def test_scalar_rss_equals_the_profile(self, pairs, b):
         m, v = pairs
         with np.errstate(all="ignore"):
-            expected = float(_grid_scan(np.array([[b]]), m[None], v[None])[1][0])
-            got = _raw_objective(np.array([b]), m[None], v[None], np.log(m)[None])[0]
+            expected = float(_profile(np.array([[b]]), m[None], v[None])[0, 0])
+            got = _profile(np.array([[b]]), m[None], v[None], np.log(m)[None])[0]
             assert float(got[0]).hex() == expected.hex()
 
     @settings(max_examples=200, deadline=None)
@@ -528,8 +563,8 @@ class TestNlsGoldenObjective:
         for exponent in (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0, b):
             bs = np.full(3, exponent)
             with np.errstate(all="ignore"):
-                block = _raw_objective(bs, m, v, np.log(m))
-                alone = _raw_objective(bs[one], m[one], v[one], np.log(m[one]))
+                block = _profile(bs[:, None], m, v, np.log(m))
+                alone = _profile(bs[one, None], m[one], v[one], np.log(m[one]))
             for got, expected in zip(alone, block):
                 assert got[0].tobytes() == expected[row].tobytes(), exponent
 

@@ -125,6 +125,21 @@ def test_plot_bytes(name, tmp_path):
     assert plot.read_bytes() == (GOLDEN / f"{name}.svg").read_bytes()
 
 
+# Spreadsheets save "CSV UTF-8" with a leading byte-order mark: a copy of
+# each layout's input that starts with one reports the same bytes.
+@pytest.mark.parametrize("name", ["fit_taylor_nls", "fit_taylor_subject_all", "fit_dispersion"])
+def test_a_byte_order_mark_changes_no_report_byte(name, tmp_path):
+    argv = _argv(name, "json", tmp_path / "plot.svg")
+    i = argv.index("--input") + 1
+    copy = tmp_path / "bom.csv"
+    copy.write_bytes(b"\xef\xbb\xbf" + Path(argv[i]).read_bytes())
+    argv[i] = str(copy)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    assert out.getvalue().encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
 # A species id holding a comma and one holding a double quote: every
 # report row still reads back as one field path and one value.
 QUOTED_LOCATION = (
