@@ -194,12 +194,12 @@ class FitReport(NamedTuple):
 
 def build_fit_report(
     series: MVSeries,
-    scheme: Scheme | None,
     method: str = "log_ols",
     alpha: float = 0.05,
     min_pairs: int = 3,
 ) -> FitReport:
-    """Fit ``series`` and derive critical density and classification."""
+    """Fit ``series`` and derive critical density and classification; the
+    report names the series' scheme."""
     _load("fitting", "crossover")
     if method == "log_ols":
         fit = fit_log_ols(series, min_pairs=min_pairs)
@@ -214,7 +214,7 @@ def build_fit_report(
         call_error = str(exc)
     dropped = ~usable_mask(series.means, series.variances, fit.method)
     labels = tuple(compress(series.labels, dropped.tolist()))
-    return FitReport(scheme, fit, crossover, call, call_error, labels)
+    return FitReport(series.scheme, fit, crossover, call, call_error, labels)
 
 
 def _report_dict(report: FitReport) -> dict:
@@ -427,9 +427,7 @@ def _run_table_fit(config: RunConfig) -> dict:
             if isinstance(series, DataError):
                 raise fresh_copy(series)
             return _report_dict(
-                build_fit_report(
-                    series, series.scheme, config.method, config.alpha, config.min_pairs
-                )
+                build_fit_report(series, config.method, config.alpha, config.min_pairs)
             )
 
         value["reports"] = _fit_each(
@@ -442,11 +440,8 @@ def _run_table_fit(config: RunConfig) -> dict:
             },
         )
         return value
-    scheme = Scheme(config.scheme_tag, config.subject)
-    series = extract_pairs(table, scheme)
-    report = build_fit_report(
-        series, scheme, config.method, config.alpha, config.min_pairs
-    )
+    series = extract_pairs(table, Scheme(config.scheme_tag, config.subject))
+    report = build_fit_report(series, config.method, config.alpha, config.min_pairs)
     if config.plot_path:
         _load("svgplot")
         emit_svg_plot(series, report.fit, config.plot_path)
@@ -536,7 +531,7 @@ def _run_pcf(config: RunConfig) -> dict:
 
 
 def _run_experiment(config: RunConfig) -> dict:
-    levels = config.levels or DEFAULT_LEVELS[config.kind]
+    levels = DEFAULT_LEVELS[config.kind] if config.levels is None else config.levels
     _load("pointprocess")
     series = taylor_experiment(
         config.kind,
@@ -548,9 +543,7 @@ def _run_experiment(config: RunConfig) -> dict:
         sigma=config.sigma,
         hardcore_radius=config.hardcore_radius,
     )
-    report = build_fit_report(
-        series, None, config.method, config.alpha, config.min_pairs
-    )
+    report = build_fit_report(series, config.method, config.alpha, config.min_pairs)
     if config.plot_path:
         _load("svgplot")
         emit_svg_plot(series, report.fit, config.plot_path)

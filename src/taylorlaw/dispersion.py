@@ -31,7 +31,7 @@ from .errors import (
     UsageError,
     fresh_copy,
 )
-from .fitting import _newton_minima
+from .fitting import _newton_minima, _powers
 
 _GRID_POINTS = 161
 _C_FLOOR = 1e-6
@@ -175,15 +175,13 @@ def fit_dispersion_table(
         condition number reaches 1/(eps*max(n, 3)), numpy's least-squares
         cut: its largest singular value is at most its Frobenius norm F,
         its smallest |u|/|v| to rounding, with v 1 at s and minus the
-        coefficients of s - u on the other two columns. The exponents are
-        written into s first, as in ``fitting._profile``, so x^c rounds
-        alike for every shape of ``cs``. Returns the RSS and the rank-3
-        mask, or given ``alpha``, the RSS, its slope and Gauss-Newton
-        curvature in c, and the columns RSS, a, b, d and rank-3 mask.
+        coefficients of s - u on the other two columns. x^c is taken by
+        ``fitting._powers``, so it rounds alike for every shape of ``cs``.
+        Returns the RSS and the rank-3 mask, or given ``alpha``, the RSS,
+        its slope and Gauss-Newton curvature in c, and the columns RSS, a,
+        b, d and rank-3 mask.
         """
-        s = np.empty((*cs.shape, n))
-        s[...] = cs[..., None]
-        np.power(x, s, out=s)
+        s = _powers(x, cs)
         top = s.max(axis=-1)
         s /= top[..., None]
         u, beta = _off(q, s)

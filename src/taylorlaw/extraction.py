@@ -21,14 +21,17 @@ here and only excluded at fitting time, so data loss stays reportable. A
 mean or variance that overflows the float range is a data error naming the
 pair.
 
-A series holds its labels, means and variances as columns. The two
-per-subject schemes extract every subject that has the same number of rows
-in one pass (``extract_subjects``): those subjects form one
-(subjects, times, species) block, and each subject's series is one row of
-the block's (subjects, pairs) arrays of means and variances. Every row is
-summed in its 1-D order, so a subject's pairs are the same bits whether it
-is extracted alone or with the rest. The fits keep their results on the
-block (``fitting``), so the first fit of any row fits them all.
+A series holds its labels, means and variances as columns. One path
+builds every scheme's series from the rows or the species columns of a
+block of counts: one subject's rows, or the whole (for
+``mean_converted_subjects``, mean-converted) table. The per-subject schemes
+extract every subject that has the same number of rows in one pass
+(``extract_subjects``): those subjects form one (subjects, times, species)
+block, and each subject's series is one row of the block's (subjects,
+pairs) arrays of means and variances. Every row is summed in its 1-D
+order, so a subject's pairs are the same bits whether it is extracted
+alone or with the rest. The fits keep their results on the block
+(``fitting``), so the first fit of any row fits them all.
 """
 
 from __future__ import annotations
@@ -44,6 +47,9 @@ from .errors import DataError, UsageError, fresh_copy
 
 if TYPE_CHECKING:
     from .tables import AbundanceTable
+
+# The schemes whose pairs are species columns, not observation rows.
+_COLUMNS = ("species_across_subjects", "per_subject_species")
 
 
 class _SchemeFields(NamedTuple):
@@ -196,19 +202,10 @@ def mean_convert(table: AbundanceTable) -> AbundanceTable:
 
 def extract_pairs(table: AbundanceTable, scheme: Scheme) -> MVSeries:
     """Extract the mean-variance series for ``scheme`` from ``table``."""
-    if scheme.tag in _PER_SUBJECT:
-        series = _subject_series(table, scheme.tag, [scheme.subject])[0]
-        if isinstance(series, DataError):
-            raise fresh_copy(series)
-        return series
-    # Huge counts can overflow a mean or variance to inf; that is reported
-    # below as a data error, so numpy's overflow warning is silenced.
-    with np.errstate(over="ignore", invalid="ignore"):
-        labels, means, variances = _table_stats(table, scheme.tag)
-    if not (np.isfinite(means).all() and np.isfinite(variances).all()):
-        raise _overflow_error(labels, means, variances)
-    _check_pairs(labels, means, variances)
-    return MVSeries._of_block(scheme, labels, _Block(means[None], variances[None]), 0)
+    series = _series(table, scheme.tag, [scheme.subject])[0]
+    if isinstance(series, DataError):
+        raise fresh_copy(series)
+    return series
 
 
 def extract_subjects(table: AbundanceTable, tag: str) -> list[MVSeries | DataError]:
@@ -219,66 +216,66 @@ def extract_subjects(table: AbundanceTable, tag: str) -> list[MVSeries | DataErr
     block, and their fits are made together."""
     if tag not in _PER_SUBJECT:
         raise UsageError(f"scheme {tag!r} does not take a subject")
-    return _subject_series(table, tag, table.subjects())
+    return _series(table, tag, table.subjects())
 
 
-def _subject_series(table: AbundanceTable, tag: str, subjects) -> list:
-    """``extract_subjects`` for the given subjects, in their order."""
-    if table.times is None:
-        raise UsageError(f"scheme {tag!r} requires a table with a time axis")
-    rows_of = table._rows_by_subject()
-    by_length: dict[int, list[str]] = {}
-    for subject in subjects:
-        if subject not in rows_of:
-            raise UsageError(f"unknown subject {subject!r}")
-        by_length.setdefault(len(rows_of[subject]), []).append(subject)
+def _series(table: AbundanceTable, tag: str, subjects) -> list:
+    """The series of ``tag`` for each of ``subjects``, in their order; the
+    subject None is the whole table, whose block is the view
+    ``counts[None]``. Species-column schemes transpose each block."""
+    if tag == "mean_converted_subjects" and table.times is None:
+        raise UsageError("mean_converted_subjects requires a table with a time axis")
+    groups = [([None], None)]
+    if tag in _PER_SUBJECT:
+        if table.times is None:
+            raise UsageError(f"scheme {tag!r} requires a table with a time axis")
+        rows_of = table._rows_by_subject()
+        by_length: dict[int, list[str]] = {}
+        for subject in subjects:
+            if subject not in rows_of:
+                raise UsageError(f"unknown subject {subject!r}")
+            by_length.setdefault(len(rows_of[subject]), []).append(subject)
+        groups = [(g, np.array([rows_of[s] for s in g])) for g in by_length.values()]
     results = {}
-    for group in by_length.values():
-        counts = table.counts[np.array([rows_of[s] for s in group])]
-        if tag == "per_subject_species":
-            counts = counts.transpose(0, 2, 1)
-        shape = counts.shape[:2]
-        with np.errstate(over="ignore", invalid="ignore"):
+    # Huge counts can overflow a mean or variance to inf; that is reported
+    # as a data error, so numpy's overflow warning is silenced.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if tag == "mean_converted_subjects":
+            table = mean_convert(table)
+        for group, rows in groups:
+            counts = table.counts[rows]
+            if tag in _COLUMNS:
+                counts = counts.transpose(0, 2, 1)
+            shape = counts.shape[:2]
             means, variances = _row_stats(
                 np.ascontiguousarray(counts).reshape(-1, counts.shape[2])
             )
-        means, variances = means.reshape(shape), variances.reshape(shape)
-        finite = (np.isfinite(means) & np.isfinite(variances)).all(axis=1)
-        for subject, mean, variance in zip(
-            compress(group, ~finite), means[~finite], variances[~finite]
-        ):
-            labels = _labels(table, tag, subject)
-            results[subject] = _overflow_error(labels, mean, variance)
-        # Counts are finite and non-negative, species ids unique and each
-        # subject's times increasing, so the pairs pass _check_pairs.
-        block = _Block(means[finite], variances[finite])
-        for row, subject in enumerate(compress(group, finite)):
-            results[subject] = MVSeries._of_block(
-                Scheme(tag, subject), _labels(table, tag, subject), block, row
-            )
+            means, variances = means.reshape(shape), variances.reshape(shape)
+            finite = (np.isfinite(means) & np.isfinite(variances)).all(axis=1)
+            for subject, mean, variance in zip(
+                compress(group, ~finite), means[~finite], variances[~finite]
+            ):
+                labels = _labels(table, tag, subject)
+                results[subject] = _overflow_error(labels, mean, variance)
+            block = _Block(means[finite], variances[finite])
+            for row, subject in enumerate(compress(group, finite)):
+                labels = _labels(table, tag, subject)
+                # Species ids and a subject's times are unique, but a
+                # library-built untimed table may repeat a subject id.
+                if subject is None:
+                    _check_pairs(labels, block.means[row], block.variances[row])
+                results[subject] = MVSeries._of_block(
+                    Scheme(tag, subject), labels, block, row
+                )
     return [results[s] for s in subjects]
 
 
-def _labels(table: AbundanceTable, tag: str, subject: str) -> tuple[str, ...]:
-    if tag == "per_subject_species":
+def _labels(table: AbundanceTable, tag: str, subject: str | None) -> tuple[str, ...]:
+    """The pair labels of ``subject``'s series, or the whole table's."""
+    if tag in _COLUMNS:
         return table.species_ids
-    return tuple(str(table.times[i]) for i in table.rows_for(subject))
-
-
-def _table_stats(table: AbundanceTable, tag: str):
-    """Labels, means and variances of a scheme over the whole table: one
-    pair per row of its matrix, a transpose for species columns. The matrix
-    is made C-contiguous, so each row or column is summed in the order its
-    1-D slice would be."""
-    if tag == "mean_converted_subjects":
-        if table.times is None:
-            raise UsageError("mean_converted_subjects requires a table with a time axis")
-        table = mean_convert(table)
-    counts = table.counts
-    if tag == "species_across_subjects":
-        counts, labels = counts.T, table.species_ids
-    elif table.times is None:
-        labels = table.subject_ids
-    else:
-        labels = tuple(f"{s}@{t}" for s, t in zip(table.subject_ids, table.times))
-    return (labels, *_row_stats(np.ascontiguousarray(counts)))
+    if subject is not None:
+        return tuple(str(table.times[i]) for i in table.rows_for(subject))
+    if table.times is None:
+        return table.subject_ids
+    return tuple(f"{s}@{t}" for s, t in zip(table.subject_ids, table.times))

@@ -302,6 +302,17 @@ def _newton_minima(
     return np.where(better, x, at), np.where(better, here[3].T, start[3].T).T
 
 
+def _powers(base: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """The (*exponents.shape, n) powers of the n values along the last axis
+    of ``base``, each exponent raising the values broadcast against it. The
+    exponents are written into the result first, so numpy never takes its
+    single-exponent loop, whose x^2, x^0.5 and x^-1 round differently: a
+    power rounds alike for every shape of ``exponents``."""
+    out = np.empty((*exponents.shape, base.shape[-1]))
+    out[...] = exponents[..., None]
+    return np.power(base, out, out=out)
+
+
 def _profile(
     b: np.ndarray, m: np.ndarray, v: np.ndarray, log_m: np.ndarray | None = None
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -312,9 +323,7 @@ def _profile(
     summed from the residuals r = v - a p, which overwrite p, not from
     sum(v^2) - a sum(v p), which cancels; it is inf where not finite. Each
     sum is one einsum along a row, so a row's values do not depend on the
-    rows beside it. The exponents are written into p first, so numpy never
-    takes its single-exponent loop, whose m^2, m^0.5 and m^-1 round
-    differently. Call under ``np.errstate``.
+    rows beside it. Call under ``np.errstate``.
 
     Without ``log_m`` it returns R (rows, k). Given ``log_m`` and k = 1 it
     returns the Newton objective: R, its exact slope and curvature (NaN
@@ -327,9 +336,7 @@ def _profile(
     each a is an einsum over other strides, so the grid's R can differ from
     the Newton R at the same b in the last bits.
     """
-    p = np.empty((*b.shape, m.shape[1]))
-    p[...] = b[..., None]
-    np.power(m[:, None, :], p, out=p)
+    p = _powers(m[:, None, :], b)
     v = v[:, None, :]
     s2 = np.einsum("...i,...i->...", p, p)
     a = np.einsum("...i,...i->...", p, v) / s2

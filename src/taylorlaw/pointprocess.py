@@ -395,7 +395,6 @@ def estimate_pcf(
             "insufficient data: a correlation estimate needs at least 2 points"
         )
     n_bins = int(math.floor(_within_limit("rings", r_max / bin_width) + 1e-12))
-    n_bins = min(n_bins, int(math.floor((0.5 + 1e-12) / bin_width)))
     centers = (np.arange(n_bins) + 0.5) * bin_width
     raw = np.zeros(n_bins, dtype=np.int64)
     for _, _, d in _close_pairs(pattern.points, n_bins * bin_width):

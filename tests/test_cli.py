@@ -28,6 +28,7 @@ from taylorlaw.cli import (
     build_fit_report,
     main,
     render_report,
+    run,
 )
 from taylorlaw.extraction import SCHEME_TAGS
 
@@ -583,7 +584,7 @@ class TestFitReportHelper:
             None,
             (MVPair("p1", 1.0, 1.0), MVPair("p2", 2.0, 4.0), MVPair("p3", 4.0, 16.0)),
         )
-        report = build_fit_report(series, None)
+        report = build_fit_report(series)
         assert report.fit.se_b == 0.0
         assert report.classification is None
         assert "zero slope" in report.classification_error
@@ -593,7 +594,7 @@ class TestFitReportHelper:
             None,
             (MVPair("p1", 1.0, 1.0), MVPair("p2", 2.0, 2.0), MVPair("p3", 4.0, 4.0)),
         )
-        report = build_fit_report(series, None)
+        report = build_fit_report(series)
         assert report.fit.b == 1.0
         assert report.fit.se_b == 0.0
         assert report.classification.pattern == "random"
@@ -610,9 +611,9 @@ class TestFitReportHelper:
                 MVPair("zero_var", 9.0, 0.0),
             ),
         )
-        ols = build_fit_report(series, None, method="log_ols")
+        ols = build_fit_report(series, method="log_ols")
         assert ols.dropped_pair_labels == ("zero_mean", "zero_var")
-        nls = build_fit_report(series, None, method="nls")
+        nls = build_fit_report(series, method="nls")
         assert nls.dropped_pair_labels == ("zero_mean",)
 
 
@@ -726,6 +727,15 @@ class TestExperimentCommand:
             ["experiment", "--kind", "hardcore_sweep", "--reps", "1", "--q", "4"],
         )
         assert doc["levels"] == [100.0, 200.0, 400.0, 800.0]
+
+    def test_empty_levels_are_not_the_default_sweep(self, capsys):
+        # Only levels=None takes the default sweep; an empty tuple, which
+        # argparse cannot give, is a usage error.
+        config = RunConfig(command="experiment", kind="poisson_sweep", levels=())
+        assert run(config) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: levels must be non-empty\n"
 
     def test_decreasing_levels_rejected(self, capsys):
         rc = main(

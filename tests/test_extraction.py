@@ -220,6 +220,15 @@ class TestMVSeriesValidation:
             with pytest.raises(DataError, match="pair 'x'"):
                 extract_pairs(table, Scheme("subjects_across_species"))
 
+    def test_a_repeated_subject_id_repeats_a_row_label(self):
+        from taylorlaw.tables import AbundanceTable
+
+        table = AbundanceTable(("a", "a", "b"), ("x", "y"), [[1, 2], [3, 4], [5, 6]])
+        with pytest.raises(ValueError, match="^pair labels must be unique within a series$"):
+            extract_pairs(table, Scheme("subjects_across_species"))
+        # The species columns of the same table are labeled by species.
+        assert extract_pairs(table, Scheme("species_across_subjects")).labels == ("x", "y")
+
     def test_accessors(self):
         series = MVSeries(None, (MVPair("a", 1.0, 2.0), MVPair("b", 3.0, 4.0)))
         assert [p.mean for p in series.pairs] == [1.0, 3.0]
